@@ -42,7 +42,7 @@ impl<N: RowNoise + Clone + Send + Sync> AccountedOptimizer for EagerDpSgd<N> {
     }
 }
 
-impl<N: RowNoise> AccountedOptimizer for EanaOptimizer<N> {
+impl<N: RowNoise + Clone + Send + Sync> AccountedOptimizer for EanaOptimizer<N> {
     fn mechanism(&self) -> Mechanism {
         // EANA's *nominal* accounting (Ning et al.): the σ it targets.
         // Its actual guarantee is weaker and data-dependent — untouched
@@ -54,7 +54,9 @@ impl<N: RowNoise> AccountedOptimizer for EanaOptimizer<N> {
     }
 }
 
-impl<N: RowNoise, T: EmbeddingStorage> AccountedOptimizer<T> for AdaFestOptimizer<N> {
+impl<N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage> AccountedOptimizer<T>
+    for AdaFestOptimizer<N>
+{
     fn mechanism(&self) -> Mechanism {
         // `SelectThenNoise` treats `sigma_select` as the multiplier
         // relative to the count query's ℓ₂ sensitivity. The optimizer

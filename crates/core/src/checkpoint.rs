@@ -30,7 +30,10 @@ use lazydp_store::{StorageConfig, StoredTable};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"LAZYDP\x01\x00";
-const VERSION: u32 = 2;
+/// Format version. 3 marks the `f32` Box–Muller kernel: a v2 file holds
+/// state trained on the earlier noise stream, so resuming it would mix
+/// two streams in one run, and it is refused as unsupported.
+const VERSION: u32 = 3;
 /// Bytes before the checksummed payload: magic + version word.
 const HEADER_LEN: usize = 12;
 /// The FNV-1a-64 payload checksum trailing the stream.

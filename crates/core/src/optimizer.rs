@@ -146,11 +146,8 @@ struct StepScratch {
     targets: Vec<Vec<u64>>,
     /// Phase-1 noise-plan entries (sequential flush path).
     entries: Vec<NoisePlanEntry>,
-    /// Phase-2 sampled noise block and draw scratch.
+    /// Phase-2 sampled noise block.
     noise_acc: Vec<f32>,
-    noise_buf: Vec<f32>,
-    /// Dense MLP noise buffer.
-    dense_buf: Vec<f32>,
     coalesce: CoalesceScratch,
 }
 
@@ -509,22 +506,13 @@ where
             lazydp_obs::span!("step.dense_update");
             model.bottom.apply(&self.scratch.grads.bottom, lr);
             model.top.apply(&self.scratch.grads.top, lr);
-            model.bottom.apply_dense_noise_with(
-                &mut self.noise,
-                iter,
-                0,
-                std,
-                lr,
-                &mut self.scratch.dense_buf,
-            );
-            model.top.apply_dense_noise_with(
-                &mut self.noise,
-                iter,
-                64,
-                std,
-                lr,
-                &mut self.scratch.dense_buf,
-            );
+            let threads = dp.threads;
+            model
+                .bottom
+                .apply_dense_noise(&mut self.noise, iter, 0, std, lr, threads);
+            model
+                .top
+                .apply_dense_noise(&mut self.noise, iter, 64, std, lr, threads);
         }
         self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
 
@@ -544,7 +532,6 @@ where
                 targets,
                 entries,
                 noise_acc,
-                noise_buf,
                 ..
             } = &mut self.scratch;
             let update = &mut grads.tables[t];
@@ -579,7 +566,6 @@ where
                         &exec,
                         &mut self.counters,
                         noise_acc,
-                        noise_buf,
                     );
                     for (e, nv) in entries.iter().zip(noise_acc.chunks_exact(dim)) {
                         for (w, &n) in update.entry_mut(e.slot).iter_mut().zip(nv.iter()) {

@@ -252,7 +252,6 @@ impl NoisePlan {
         N: RowNoise + Clone + Send + Sync,
     {
         let mut acc = Vec::new();
-        let mut buf = Vec::new();
         Self::sample_entries_into(
             table_id,
             iter,
@@ -264,18 +263,14 @@ impl NoisePlan {
             exec,
             counters,
             &mut acc,
-            &mut buf,
         );
         acc
     }
 
-    /// [`sample_entries`](Self::sample_entries) into caller-owned
-    /// buffers: `acc` receives the `entries.len() × dim` noise block and
-    /// `buf` is the `dim`-wide draw scratch. On a single-width executor
-    /// (or a stateful source) the whole phase runs through these
-    /// buffers with zero allocation; the multi-worker path still hands
-    /// each chunk its own scratch (worker threads are scoped to the
-    /// region, so per-chunk buffers cannot be pooled across steps).
+    /// [`sample_entries`](Self::sample_entries) into a caller-owned
+    /// buffer: `acc` receives the `entries.len() × dim` noise block. The
+    /// draws are accumulated into `acc` as they are sampled, so no
+    /// chunk needs a draw buffer and only `acc` itself is ever sized.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_entries_into<N>(
         table_id: u32,
@@ -288,7 +283,6 @@ impl NoisePlan {
         exec: &Executor,
         counters: &mut KernelCounters,
         acc: &mut Vec<f32>,
-        buf: &mut Vec<f32>,
     ) where
         N: RowNoise + Clone + Send + Sync,
     {
@@ -297,13 +291,10 @@ impl NoisePlan {
         if dim > 0 && exec.is_parallel() && noise.addressable() {
             let noise = &*noise;
             exec.par_for(acc.as_mut_slice(), ENTRIES_PER_CHUNK * dim, |c, chunk| {
-                // One scratch buffer and one noise handle per chunk —
-                // reused across its rows (the per-row allocations the
-                // serial flush paid are gone). Cloning is free and sound
-                // here: an addressable source is a pure function of the
-                // (table, row, iter) address.
+                // One noise handle per chunk, reused across its rows.
+                // Cloning is free and sound here: an addressable source
+                // is a pure function of the (table, row, iter) address.
                 let mut worker_noise = noise.clone();
-                let mut buf = vec![0.0f32; dim];
                 let first = c * ENTRIES_PER_CHUNK;
                 for (k, out) in chunk.chunks_mut(dim).enumerate() {
                     Self::accumulate_entry(
@@ -313,7 +304,6 @@ impl NoisePlan {
                         per_step_std,
                         ans,
                         &mut worker_noise,
-                        &mut buf,
                         out,
                     );
                 }
@@ -324,19 +314,16 @@ impl NoisePlan {
             // reference): same values — an addressable source is a pure
             // function of the address, and chunking never changes the
             // per-row arithmetic.
-            buf.clear();
-            buf.resize(dim, 0.0);
             for (e, out) in entries.iter().zip(acc.chunks_mut(dim)) {
-                Self::accumulate_entry(table_id, iter, e, per_step_std, ans, noise, buf, out);
+                Self::accumulate_entry(table_id, iter, e, per_step_std, ans, noise, out);
             }
         }
         let draws: u64 = entries.iter().map(|e| if ans { 1 } else { e.delays }).sum();
         counters.gaussian_samples += draws * dim as u64;
     }
 
-    /// Accumulates one entry's pending noise into `out` (scratch `buf`
-    /// must be `dim` long).
-    #[allow(clippy::too_many_arguments)]
+    /// Accumulates one entry's pending noise into `out`, each draw added
+    /// as it is sampled.
     fn accumulate_entry<N: RowNoise>(
         table_id: u32,
         iter: u64,
@@ -344,22 +331,17 @@ impl NoisePlan {
         per_step_std: f32,
         ans: bool,
         noise: &mut N,
-        buf: &mut [f32],
         out: &mut [f32],
     ) {
         if ans {
             // One draw ~ N(0, delays·σ²C²/B²) — line 38.
-            noise.fill_unit(table_id, e.row, iter, buf);
             let std = aggregated_std(per_step_std, e.delays);
-            for (o, &n) in out.iter_mut().zip(buf.iter()) {
-                *o += std * n;
-            }
+            noise.apply_unit(table_id, e.row, iter, out, |_, o, n| *o += std * n);
         } else {
             for k_iter in (iter - e.delays + 1)..=iter {
-                noise.fill_unit(table_id, e.row, k_iter, buf);
-                for (o, &n) in out.iter_mut().zip(buf.iter()) {
+                noise.apply_unit(table_id, e.row, k_iter, out, |_, o, n| {
                     *o += per_step_std * n;
-                }
+                });
             }
         }
     }

@@ -471,6 +471,40 @@ mod tests {
     }
 
     #[test]
+    fn version_2_checkpoint_is_refused_and_never_resumed() {
+        let dir = fresh_dir("v2");
+        let mut store = CheckpointStore::open(&dir).expect("open");
+        store.save(&tiny_checkpoint(3)).expect("save");
+        let newest = store.save(&tiny_checkpoint(6)).expect("save");
+        // Re-tag the newest file as v2. The payload checksum does not
+        // cover the header, and the manifest is re-recorded to match, so
+        // the version word is the only thing that can refuse it.
+        let mut bytes = std::fs::read(&newest).expect("read");
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&newest, &bytes).expect("rewrite");
+        let entry = store.entries.last_mut().expect("two entries");
+        entry.len = bytes.len() as u64;
+        entry.checksum = fnv1a64(&bytes);
+        store.write_manifest().expect("manifest");
+        let err = Checkpoint::from_bytes(&bytes).expect_err("v2 must be refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("unsupported checkpoint version"),
+            "{err}"
+        );
+        let reopened = CheckpointStore::open(&dir).expect("reopen");
+        let ck = reopened.resume_latest().expect("resume").expect("some");
+        assert_eq!(ck.iteration, 3, "must fall back past the v2 entry");
+        // With only the v2 file left, nothing is resumable.
+        std::fs::remove_file(dir.join("ckpt-0000000003.bin")).expect("rm");
+        assert!(matches!(
+            reopened.resume_latest(),
+            Err(CheckpointError::NoValidCheckpoint { tried: 2 })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn sweep_removes_tmp_and_unlisted_files_only() {
         let dir = fresh_dir("sweep");
         let mut store = CheckpointStore::open(&dir).expect("open");

@@ -109,7 +109,6 @@ impl<N: RowNoise> TerabyteLazyEmbedding<N> {
         // Lazy noise for next batch's rows.
         let (targets, dups) = dedup_indices(next_indices);
         self.counters.duplicates_removed += dups as u64;
-        let mut buf = vec![0.0f32; dim];
         for idx in targets {
             self.counters.history_reads += 1;
             self.counters.history_writes += 1;
@@ -117,24 +116,7 @@ impl<N: RowNoise> TerabyteLazyEmbedding<N> {
             if delays == 0 {
                 continue;
             }
-            let row = self.table.row_mut(idx);
-            if self.ans {
-                self.noise
-                    .fill_unit(self.table_id, idx, self.iter, &mut buf);
-                self.counters.gaussian_samples += dim as u64;
-                let agg = aggregated_std(std, delays);
-                for (w, &n) in row.iter_mut().zip(buf.iter()) {
-                    *w -= lr * agg * n;
-                }
-            } else {
-                for k in (self.iter - delays + 1)..=self.iter {
-                    self.noise.fill_unit(self.table_id, idx, k, &mut buf);
-                    self.counters.gaussian_samples += dim as u64;
-                    for (w, &n) in row.iter_mut().zip(buf.iter()) {
-                        *w -= lr * std * n;
-                    }
-                }
-            }
+            self.settle_row(idx, delays, lr, std);
             self.counters.table_rows_read += 1;
             self.counters.table_rows_written += 1;
         }
@@ -145,33 +127,37 @@ impl<N: RowNoise> TerabyteLazyEmbedding<N> {
     /// prediction from it, or when releasing a row-slice of the model).
     /// Returns the row's post-flush value.
     pub fn flush_row(&mut self, idx: u64) -> Vec<f32> {
-        let dim = self.table.dim();
         let lr = self.cfg.lr;
         let std = self.cfg.noise_std_per_coord();
         let delays = self.history.take_delays(idx, self.iter);
         if delays > 0 {
-            let mut buf = vec![0.0f32; dim];
-            let row = self.table.row_mut(idx);
-            if self.ans {
-                self.noise
-                    .fill_unit(self.table_id, idx, self.iter, &mut buf);
-                self.counters.gaussian_samples += dim as u64;
-                let agg = aggregated_std(std, delays);
-                for (w, &n) in row.iter_mut().zip(buf.iter()) {
-                    *w -= lr * agg * n;
-                }
-            } else {
-                for k in (self.iter - delays + 1)..=self.iter {
-                    self.noise.fill_unit(self.table_id, idx, k, &mut buf);
-                    self.counters.gaussian_samples += dim as u64;
-                    for (w, &n) in row.iter_mut().zip(buf.iter()) {
-                        *w -= lr * std * n;
-                    }
-                }
-            }
+            self.settle_row(idx, delays, lr, std);
             self.counters.table_rows_written += 1;
         }
         self.table.read_row(idx)
+    }
+
+    /// Applies row `idx`'s `delays` pending noise updates, each draw
+    /// applied as it is sampled.
+    fn settle_row(&mut self, idx: u64, delays: u64, lr: f32, std: f32) {
+        let row = self.table.row_mut(idx);
+        let dim = row.len();
+        if self.ans {
+            let agg = aggregated_std(std, delays);
+            self.noise
+                .apply_unit(self.table_id, idx, self.iter, row, |_, w, n| {
+                    *w -= lr * agg * n;
+                });
+            self.counters.gaussian_samples += dim as u64;
+        } else {
+            for k in (self.iter - delays + 1)..=self.iter {
+                self.noise
+                    .apply_unit(self.table_id, idx, k, row, |_, w, n| {
+                        *w -= lr * std * n;
+                    });
+                self.counters.gaussian_samples += dim as u64;
+            }
+        }
     }
 
     /// Gaussian draws an *eager* DP-SGD would have performed so far on

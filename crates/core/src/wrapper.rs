@@ -228,7 +228,7 @@ impl<L: LookaheadSource, N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage>
 impl<S, N, T> PrivateTrainer<LookaheadLoader<S>, AdaFestOptimizer<N>, T>
 where
     S: BatchSource,
-    N: RowNoise,
+    N: RowNoise + Clone + Send + Sync,
     T: EmbeddingStorage,
 {
     /// [`make_private`](PrivateTrainer::make_private) for **DP-AdaFEST**

@@ -52,6 +52,7 @@
 use crate::clip::{clip_weights_into, clipped_fraction};
 use crate::config::DpConfig;
 use crate::counters::KernelCounters;
+use crate::noise_update::noisy_row_update;
 use crate::optimizer::{Optimizer, StepStats};
 use lazydp_data::MiniBatch;
 use lazydp_embedding::{CoalesceScratch, EmbeddingStorage, ShardSpec, SparseGrad};
@@ -219,7 +220,7 @@ pub fn select_partitions_into<N: RowNoise>(
 /// Panics if `grad` is not coalesced, its dimension mismatches, or
 /// `selected.len() != spec.shards()`.
 #[allow(clippy::too_many_arguments)]
-pub fn partition_noisy_update_with<T: EmbeddingStorage, N: RowNoise>(
+pub fn partition_noisy_update<T: EmbeddingStorage, N: RowNoise>(
     table_id: u32,
     table: &mut T,
     spec: &ShardSpec,
@@ -230,7 +231,6 @@ pub fn partition_noisy_update_with<T: EmbeddingStorage, N: RowNoise>(
     noise_std: f32,
     lr: f32,
     counters: &mut KernelCounters,
-    buf: &mut Vec<f32>,
 ) {
     assert_eq!(grad.dim(), table.dim(), "grad dim mismatch");
     assert!(
@@ -243,8 +243,6 @@ pub fn partition_noisy_update_with<T: EmbeddingStorage, N: RowNoise>(
         "selection mask / partition count mismatch"
     );
     let dim = table.dim();
-    buf.clear();
-    buf.resize(dim, 0.0);
     let rows = table.rows() as u64;
     let stride = spec.shards() as u64;
     let mut touched = 0u64;
@@ -254,17 +252,8 @@ pub fn partition_noisy_update_with<T: EmbeddingStorage, N: RowNoise>(
         }
         let mut r = p as u64;
         while r < rows {
-            noise.fill_unit(table_id, r, iter, buf);
             table.with_row_mut(r, |row| {
-                if let Some(g) = grad.find(r) {
-                    for ((w, &n), &gv) in row.iter_mut().zip(buf.iter()).zip(g.iter()) {
-                        *w -= lr * (noise_std * n + gv);
-                    }
-                } else {
-                    for (w, &n) in row.iter_mut().zip(buf.iter()) {
-                        *w -= lr * noise_std * n;
-                    }
-                }
+                noisy_row_update(noise, table_id, r, iter, row, grad.find(r), noise_std, lr);
             });
             touched += 1;
             r += stride;
@@ -303,8 +292,6 @@ struct AdaFestScratch {
     grads: DlrmGrads,
     logit_g: Vec<f32>,
     norms: Vec<f64>,
-    dense_buf: Vec<f32>,
-    noise_buf: Vec<f32>,
     coalesce: CoalesceScratch,
     counts: Vec<u64>,
     selected: Vec<bool>,
@@ -320,7 +307,7 @@ pub struct AdaFestOptimizer<N> {
     scratch: AdaFestScratch,
 }
 
-impl<N: RowNoise> AdaFestOptimizer<N> {
+impl<N: RowNoise + Clone + Send + Sync> AdaFestOptimizer<N> {
     /// Creates an AdaFEST optimizer.
     #[must_use]
     pub fn new(cfg: AdaFestConfig, noise: N) -> Self {
@@ -380,7 +367,7 @@ impl<N: RowNoise> AdaFestOptimizer<N> {
     }
 }
 
-impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
+impl<T: EmbeddingStorage, N: RowNoise + Clone + Send + Sync> Optimizer<T> for AdaFestOptimizer<N> {
     fn name(&self) -> &'static str {
         "DP-AdaFEST"
     }
@@ -407,10 +394,9 @@ impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
         let b = self.cfg.dp.nominal_batch as f32;
         let std = self.cfg.dp.noise_std_per_coord();
         let lr = self.cfg.dp.lr;
+        let threads = self.cfg.dp.threads;
         let AdaFestScratch {
             grads,
-            dense_buf,
-            noise_buf,
             coalesce,
             counts,
             selected,
@@ -422,10 +408,10 @@ impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
         model.top.apply(&grads.top, lr);
         model
             .bottom
-            .apply_dense_noise_with(&mut self.noise, self.iter, 0, std, lr, dense_buf);
+            .apply_dense_noise(&mut self.noise, self.iter, 0, std, lr, threads);
         model
             .top
-            .apply_dense_noise_with(&mut self.noise, self.iter, 64, std, lr, dense_buf);
+            .apply_dense_noise(&mut self.noise, self.iter, 64, std, lr, threads);
         self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
         for (t, (table, g)) in model.tables.iter_mut().zip(grads.tables.iter()).enumerate() {
             let spec = ShardSpec::new(self.cfg.partitions_for(table.rows()));
@@ -453,7 +439,7 @@ impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
                 .adafest
                 .partitions_dropped
                 .add(selected.len() as u64 - n_selected);
-            partition_noisy_update_with(
+            partition_noisy_update(
                 t as u32,
                 table,
                 &spec,
@@ -464,7 +450,6 @@ impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
                 std,
                 lr,
                 &mut self.counters,
-                noise_buf,
             );
         }
         self.counters.steps += 1;
@@ -556,9 +541,8 @@ mod tests {
         g.coalesce();
         let mut noise = CounterNoise::new(3);
         let mut c = KernelCounters::new();
-        let mut buf = Vec::new();
-        partition_noisy_update_with(
-            0, &mut table, &spec, &selected, &g, &mut noise, 1, 0.5, 0.1, &mut c, &mut buf,
+        partition_noisy_update(
+            0, &mut table, &spec, &selected, &g, &mut noise, 1, 0.5, 0.1, &mut c,
         );
         for r in 0..8usize {
             let part = spec.shard_of(r as u64);

@@ -19,7 +19,7 @@
 use crate::clip::{clip_weights, clip_weights_into, clipped_fraction};
 use crate::config::DpConfig;
 use crate::counters::KernelCounters;
-use crate::noise_update::dense_noisy_update_with;
+use crate::noise_update::dense_noisy_update;
 use crate::optimizer::{Optimizer, StepStats};
 use crate::parallel_update::par_dense_noisy_update;
 use lazydp_data::MiniBatch;
@@ -53,7 +53,9 @@ impl ClipStyle {
 /// Reusable per-step buffers. With [`ClipStyle::Fast`] and a single
 /// noise thread the whole step runs allocation-free once these reach
 /// steady-state size (pinned by `tests/alloc_steady_state_eager.rs`);
-/// the (B) and (R) styles still materialize per-example state.
+/// the (B) and (R) styles still materialize per-example state. The
+/// noisy updates need no buffer here: noise is applied as it is
+/// sampled.
 #[derive(Debug, Clone, Default)]
 struct EagerScratch {
     cache: DlrmCache,
@@ -61,8 +63,6 @@ struct EagerScratch {
     grads: DlrmGrads,
     logit_g: Vec<f32>,
     norms: Vec<f64>,
-    dense_buf: Vec<f32>,
-    noise_buf: Vec<f32>,
     coalesce: CoalesceScratch,
 }
 
@@ -200,12 +200,9 @@ impl<N: RowNoise + Clone + Send + Sync> EagerDpSgd<N> {
         let b = self.cfg.nominal_batch as f32;
         let std = self.cfg.noise_std_per_coord();
         let lr = self.cfg.lr;
+        let threads = self.cfg.threads;
         let EagerScratch {
-            grads,
-            dense_buf,
-            noise_buf,
-            coalesce,
-            ..
+            grads, coalesce, ..
         } = &mut self.scratch;
         grads.scale(1.0 / b);
         self.counters.duplicates_removed += grads.coalesce_with(coalesce) as u64;
@@ -213,12 +210,11 @@ impl<N: RowNoise + Clone + Send + Sync> EagerDpSgd<N> {
         model.top.apply(&grads.top, lr);
         model
             .bottom
-            .apply_dense_noise_with(&mut self.noise, self.iter, 0, std, lr, dense_buf);
+            .apply_dense_noise(&mut self.noise, self.iter, 0, std, lr, threads);
         model
             .top
-            .apply_dense_noise_with(&mut self.noise, self.iter, 64, std, lr, dense_buf);
+            .apply_dense_noise(&mut self.noise, self.iter, 64, std, lr, threads);
         self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
-        let threads = self.cfg.threads;
         let parallel = threads > 1 && self.noise.addressable();
         for (t, (table, g)) in model.tables.iter_mut().zip(grads.tables.iter()).enumerate() {
             if parallel {
@@ -237,7 +233,7 @@ impl<N: RowNoise + Clone + Send + Sync> EagerDpSgd<N> {
                     &mut self.counters,
                 );
             } else {
-                dense_noisy_update_with(
+                dense_noisy_update(
                     t as u32,
                     table,
                     g,
@@ -246,7 +242,6 @@ impl<N: RowNoise + Clone + Send + Sync> EagerDpSgd<N> {
                     std,
                     lr,
                     &mut self.counters,
-                    noise_buf,
                 );
             }
         }

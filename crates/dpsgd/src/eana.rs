@@ -11,7 +11,7 @@
 use crate::clip::{clip_weights_into, clipped_fraction};
 use crate::config::DpConfig;
 use crate::counters::KernelCounters;
-use crate::noise_update::sparse_noisy_update_with;
+use crate::noise_update::sparse_noisy_update;
 use crate::optimizer::{Optimizer, StepStats};
 use lazydp_data::MiniBatch;
 use lazydp_embedding::CoalesceScratch;
@@ -28,8 +28,6 @@ struct EanaScratch {
     grads: DlrmGrads,
     logit_g: Vec<f32>,
     norms: Vec<f64>,
-    dense_buf: Vec<f32>,
-    noise_buf: Vec<f32>,
     coalesce: CoalesceScratch,
 }
 
@@ -43,7 +41,7 @@ pub struct EanaOptimizer<N> {
     scratch: EanaScratch,
 }
 
-impl<N: RowNoise> EanaOptimizer<N> {
+impl<N: RowNoise + Clone + Send + Sync> EanaOptimizer<N> {
     /// Creates an EANA optimizer.
     #[must_use]
     pub fn new(cfg: DpConfig, noise: N) -> Self {
@@ -63,7 +61,7 @@ impl<N: RowNoise> EanaOptimizer<N> {
     }
 }
 
-impl<N: RowNoise> Optimizer for EanaOptimizer<N> {
+impl<N: RowNoise + Clone + Send + Sync> Optimizer for EanaOptimizer<N> {
     fn name(&self) -> &'static str {
         "EANA"
     }
@@ -80,22 +78,13 @@ impl<N: RowNoise> Optimizer for EanaOptimizer<N> {
             // exactly the information leak §2.5 describes. MLP noise is
             // still added (dense layers are always "accessed").
             let std = self.cfg.noise_std_per_coord();
-            model.bottom.apply_dense_noise_with(
-                &mut self.noise,
-                self.iter,
-                0,
-                std,
-                self.cfg.lr,
-                &mut self.scratch.dense_buf,
-            );
-            model.top.apply_dense_noise_with(
-                &mut self.noise,
-                self.iter,
-                64,
-                std,
-                self.cfg.lr,
-                &mut self.scratch.dense_buf,
-            );
+            let (lr, threads) = (self.cfg.lr, self.cfg.threads);
+            model
+                .bottom
+                .apply_dense_noise(&mut self.noise, self.iter, 0, std, lr, threads);
+            model
+                .top
+                .apply_dense_noise(&mut self.noise, self.iter, 64, std, lr, threads);
             self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
             self.counters.steps += 1;
             return StepStats::default();
@@ -119,8 +108,6 @@ impl<N: RowNoise> Optimizer for EanaOptimizer<N> {
             grads,
             logit_g,
             norms,
-            dense_buf,
-            noise_buf,
             coalesce,
         } = &mut self.scratch;
         // Fused ghost-clipping backward (same single-chain pass as the
@@ -143,15 +130,16 @@ impl<N: RowNoise> Optimizer for EanaOptimizer<N> {
         let lr = self.cfg.lr;
         model.bottom.apply(&grads.bottom, lr);
         model.top.apply(&grads.top, lr);
+        let threads = self.cfg.threads;
         model
             .bottom
-            .apply_dense_noise_with(&mut self.noise, self.iter, 0, std, lr, dense_buf);
+            .apply_dense_noise(&mut self.noise, self.iter, 0, std, lr, threads);
         model
             .top
-            .apply_dense_noise_with(&mut self.noise, self.iter, 64, std, lr, dense_buf);
+            .apply_dense_noise(&mut self.noise, self.iter, 64, std, lr, threads);
         self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
         for (t, (table, g)) in model.tables.iter_mut().zip(grads.tables.iter()).enumerate() {
-            sparse_noisy_update_with(
+            sparse_noisy_update(
                 t as u32,
                 table,
                 g,
@@ -160,7 +148,6 @@ impl<N: RowNoise> Optimizer for EanaOptimizer<N> {
                 std,
                 lr,
                 &mut self.counters,
-                noise_buf,
             );
         }
         self.counters.steps += 1;

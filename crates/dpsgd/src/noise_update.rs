@@ -33,6 +33,9 @@ pub fn sparse_grad_update(
 /// standard-normal vector drawn from `noise` for `(table_id, r, iter)`
 /// and `g[r]` is zero for non-gathered rows.
 ///
+/// The noise is applied as it is sampled ([`RowNoise::apply_unit`]),
+/// so the sweep writes no noise buffer and allocates nothing.
+///
 /// # Panics
 ///
 /// Panics if `grad` is not coalesced or its dimension mismatches.
@@ -47,31 +50,6 @@ pub fn dense_noisy_update<N: RowNoise>(
     lr: f32,
     counters: &mut KernelCounters,
 ) {
-    let mut buf = Vec::new();
-    dense_noisy_update_with(
-        table_id, table, grad, noise, iter, noise_std, lr, counters, &mut buf,
-    );
-}
-
-/// [`dense_noisy_update`] with a caller-provided scratch buffer, so a
-/// steady-state training loop allocates nothing. Bitwise-identical to
-/// the allocating wrapper.
-///
-/// # Panics
-///
-/// Panics if `grad` is not coalesced or its dimension mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn dense_noisy_update_with<N: RowNoise>(
-    table_id: u32,
-    table: &mut EmbeddingTable,
-    grad: &SparseGrad,
-    noise: &mut N,
-    iter: u64,
-    noise_std: f32,
-    lr: f32,
-    counters: &mut KernelCounters,
-    buf: &mut Vec<f32>,
-) {
     assert_eq!(grad.dim(), table.dim(), "grad dim mismatch");
     // Gathered rows are found by binary search over the coalesced
     // (sorted) gradient — no per-call map, no unordered container.
@@ -80,29 +58,54 @@ pub fn dense_noisy_update_with<N: RowNoise>(
         "gradient must be coalesced (sorted, duplicate-free rows)"
     );
     let dim = table.dim();
-    buf.clear();
-    buf.resize(dim, 0.0);
     let rows = table.rows();
     for r in 0..rows {
-        noise.fill_unit(table_id, r as u64, iter, buf);
         let row = table.row_mut(r);
-        if let Some(g) = grad.find(r as u64) {
-            for ((w, &n), &gv) in row.iter_mut().zip(buf.iter()).zip(g.iter()) {
-                *w -= lr * (noise_std * n + gv);
-            }
-        } else {
-            for (w, &n) in row.iter_mut().zip(buf.iter()) {
-                *w -= lr * noise_std * n;
-            }
-        }
+        noisy_row_update(
+            noise,
+            table_id,
+            r as u64,
+            iter,
+            row,
+            grad.find(r as u64),
+            noise_std,
+            lr,
+        );
     }
     counters.gaussian_samples += (rows * dim) as u64;
     counters.table_rows_read += rows as u64;
     counters.table_rows_written += rows as u64;
 }
 
+/// One row of the noisy update, fused with its sampling:
+/// `row[j] -= lr·(noise_std·n_j + g[j])` for a gathered row, or
+/// `row[j] -= lr·noise_std·n_j` without a gradient, with `n` drawn for
+/// `(table_id, r, iter)`. Every dense, sparse, parallel and
+/// partition-restricted noisy update runs this.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn noisy_row_update<N: RowNoise>(
+    noise: &mut N,
+    table_id: u32,
+    r: u64,
+    iter: u64,
+    row: &mut [f32],
+    grad: Option<&[f32]>,
+    noise_std: f32,
+    lr: f32,
+) {
+    match grad {
+        Some(g) => noise.apply_unit(table_id, r, iter, row, |j, w, n| {
+            *w -= lr * (noise_std * n + g[j]);
+        }),
+        None => noise.apply_unit(table_id, r, iter, row, |_, w, n| {
+            *w -= lr * noise_std * n;
+        }),
+    }
+}
+
 /// EANA sparse noisy update: noise (plus gradient) lands **only** on the
-/// gathered rows.
+/// gathered rows. Allocation-free, like [`dense_noisy_update`].
 ///
 /// # Panics
 ///
@@ -118,35 +121,8 @@ pub fn sparse_noisy_update<N: RowNoise>(
     lr: f32,
     counters: &mut KernelCounters,
 ) {
-    let mut buf = Vec::new();
-    sparse_noisy_update_with(
-        table_id, table, grad, noise, iter, noise_std, lr, counters, &mut buf,
-    );
-}
-
-/// [`sparse_noisy_update`] with a caller-provided scratch buffer, so a
-/// steady-state training loop allocates nothing. Bitwise-identical to
-/// the allocating wrapper.
-///
-/// # Panics
-///
-/// Panics if `grad` is not coalesced or its dimension mismatches.
-#[allow(clippy::too_many_arguments)]
-pub fn sparse_noisy_update_with<N: RowNoise>(
-    table_id: u32,
-    table: &mut EmbeddingTable,
-    grad: &SparseGrad,
-    noise: &mut N,
-    iter: u64,
-    noise_std: f32,
-    lr: f32,
-    counters: &mut KernelCounters,
-    buf: &mut Vec<f32>,
-) {
     assert_eq!(grad.dim(), table.dim(), "grad dim mismatch");
     let dim = table.dim();
-    buf.clear();
-    buf.resize(dim, 0.0);
     // Coalesced gradients are sorted strictly increasing, so duplicates
     // are caught by a monotonicity check instead of a hash set.
     let mut last_idx: Option<u64> = None;
@@ -156,11 +132,8 @@ pub fn sparse_noisy_update_with<N: RowNoise>(
             "gradient must be coalesced (row {idx} out of order or duplicated)"
         );
         last_idx = Some(idx);
-        noise.fill_unit(table_id, idx, iter, buf);
         let row = table.row_mut(idx as usize);
-        for ((w, &n), &gv) in row.iter_mut().zip(buf.iter()).zip(g.iter()) {
-            *w -= lr * (noise_std * n + gv);
-        }
+        noisy_row_update(noise, table_id, idx, iter, row, Some(g), noise_std, lr);
     }
     counters.gaussian_samples += (grad.len() * dim) as u64;
     counters.table_rows_read += grad.len() as u64;

@@ -12,6 +12,7 @@
 //! [`DpConfig::threads`](crate::DpConfig) is above one.
 
 use crate::counters::KernelCounters;
+use crate::noise_update::noisy_row_update;
 use lazydp_embedding::{EmbeddingTable, SparseGrad};
 use lazydp_exec::Executor;
 use lazydp_rng::RowNoise;
@@ -59,9 +60,8 @@ pub fn par_dense_noisy_update<N>(
          (cloning a stateful stream per chunk would correlate the noise)"
     );
     assert_eq!(grad.dim(), table.dim(), "grad dim mismatch");
-    let indices = grad.indices();
     assert!(
-        indices.windows(2).all(|w| w[0] < w[1]),
+        grad.is_coalesced(),
         "gradient must be coalesced (sorted, duplicate-free rows)"
     );
     let dim = table.dim();
@@ -69,20 +69,10 @@ pub fn par_dense_noisy_update<N>(
     Executor::new(threads).par_for(table.as_mut_slice(), ROWS_PER_CHUNK * dim, |c, chunk| {
         let mut worker_noise = noise.clone();
         let first_row = c * ROWS_PER_CHUNK;
-        let mut buf = vec![0.0f32; dim];
         for (k, row) in chunk.chunks_mut(dim).enumerate() {
             let r = (first_row + k) as u64;
-            worker_noise.fill_unit(table_id, r, iter, &mut buf);
-            if let Ok(pos) = indices.binary_search(&r) {
-                let (_, g) = grad.entry(pos);
-                for ((w, &n), &gv) in row.iter_mut().zip(buf.iter()).zip(g.iter()) {
-                    *w -= lr * (noise_std * n + gv);
-                }
-            } else {
-                for (w, &n) in row.iter_mut().zip(buf.iter()) {
-                    *w -= lr * noise_std * n;
-                }
-            }
+            let g = grad.find(r);
+            noisy_row_update(&mut worker_noise, table_id, r, iter, row, g, noise_std, lr);
         }
     });
     counters.gaussian_samples += (rows * dim) as u64;

@@ -12,7 +12,7 @@
 //!   activation gradients: `‖grad_W L_i‖² = ‖a_i‖²·‖δ_i‖²` per linear
 //!   layer (the *ghost norm*), never materializing per-example grads.
 
-use lazydp_rng::{Prng, RowNoise};
+use lazydp_rng::{par_apply_dense_noise, Prng, RowNoise};
 use lazydp_tensor::ops::add_bias;
 use lazydp_tensor::{Activation, InitKind, Matrix, ScratchArena};
 
@@ -668,43 +668,51 @@ impl Mlp {
     /// layers").
     ///
     /// `param_base` namespaces this MLP's layers inside the noise
-    /// source's dense-parameter address space.
-    pub fn apply_dense_noise<N: RowNoise>(
+    /// source's dense-parameter address space: layer `l` is region
+    /// `param_base + l`, its weights at element offsets `0..` and its
+    /// bias after them. Each weight matrix is drawn in
+    /// [`DENSE_NOISE_CHUNK`](lazydp_rng::parallel::DENSE_NOISE_CHUNK)
+    /// chunks on `threads` workers, the noise applied as it is sampled
+    /// ([`par_apply_dense_noise`]): no buffer, and the same bits for any
+    /// `threads`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads == 0` and `noise` is addressable.
+    pub fn apply_dense_noise<N: RowNoise + Clone + Send + Sync>(
         &mut self,
         noise: &mut N,
         iter: u64,
         param_base: u32,
         scale: f32,
         lr: f32,
+        threads: usize,
     ) {
-        self.apply_dense_noise_with(noise, iter, param_base, scale, lr, &mut Vec::new());
-    }
-
-    /// [`apply_dense_noise`](Self::apply_dense_noise) drawing into a
-    /// caller-owned noise buffer (resized per layer, allocation-free at
-    /// steady state).
-    pub fn apply_dense_noise_with<N: RowNoise>(
-        &mut self,
-        noise: &mut N,
-        iter: u64,
-        param_base: u32,
-        scale: f32,
-        lr: f32,
-        buf: &mut Vec<f32>,
-    ) {
+        let update = |x: &mut f32, n: f32| *x -= lr * scale * n;
         for (l, layer) in self.layers.iter_mut().enumerate() {
             let param = param_base + l as u32;
             let w = layer.weight.as_mut_slice();
-            buf.clear();
-            buf.resize(w.len() + layer.bias.len(), 0.0);
-            noise.fill_unit_dense(param, iter, 0, buf);
-            for (x, &n) in w.iter_mut().zip(buf.iter()) {
-                *x -= lr * scale * n;
-            }
-            for (b, &n) in layer.bias.iter_mut().zip(buf[w.len()..].iter()) {
-                *b -= lr * scale * n;
-            }
+            let bias_offset = w.len() as u64;
+            par_apply_dense_noise(noise, param, iter, 0, w, threads, update);
+            noise.apply_unit_dense(param, iter, bias_offset, &mut layer.bias, |_, x, n| {
+                update(x, n);
+            });
         }
+    }
+
+    /// [`apply_dense_noise`](Self::apply_dense_noise) on one thread. The
+    /// scratch-buffer argument is unused — the noise is applied as it is
+    /// sampled — and kept only so existing callers compile.
+    pub fn apply_dense_noise_with<N: RowNoise + Clone + Send + Sync>(
+        &mut self,
+        noise: &mut N,
+        iter: u64,
+        param_base: u32,
+        scale: f32,
+        lr: f32,
+        _buf: &mut Vec<f32>,
+    ) {
+        self.apply_dense_noise(noise, iter, param_base, scale, lr, 1);
     }
 }
 
@@ -909,12 +917,12 @@ mod tests {
         let mut b = a.clone();
         let mut n1 = lazydp_rng::counter::CounterNoise::new(9);
         let mut n2 = lazydp_rng::counter::CounterNoise::new(9);
-        a.apply_dense_noise(&mut n1, 3, 0, 0.5, 0.1);
-        b.apply_dense_noise(&mut n2, 3, 0, 0.5, 0.1);
-        assert_eq!(a, b, "same seed, same noise");
+        a.apply_dense_noise(&mut n1, 3, 0, 0.5, 0.1, 1);
+        b.apply_dense_noise(&mut n2, 3, 0, 0.5, 0.1, 3);
+        assert_eq!(a, b, "same seed, same noise, any thread count");
         let mut c = a.clone();
         let mut n3 = lazydp_rng::counter::CounterNoise::new(10);
-        c.apply_dense_noise(&mut n3, 3, 0, 0.5, 0.1);
+        c.apply_dense_noise(&mut n3, 3, 0, 0.5, 0.1, 1);
         assert_ne!(a, c, "different seed, different noise");
     }
 }

@@ -70,6 +70,16 @@ impl Prng for CounterStream {
         self.pos = self.pos.wrapping_add(1);
         v
     }
+
+    /// Every position is an independent hash of its counter, so a batch
+    /// is a loop without a carried dependency and its hashes overlap in
+    /// the pipeline — same values as `out.len()` calls of `next_u64`.
+    fn fill_u64(&mut self, out: &mut [u64]) {
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = self.rng.at(self.pos.wrapping_add(i as u64));
+        }
+        self.pos = self.pos.wrapping_add(out.len() as u64);
+    }
 }
 
 /// Source of *standard-normal* noise addressable by `(table, row, iter)`.
@@ -85,17 +95,50 @@ impl Prng for CounterStream {
 /// * [`SequentialNoise`] — an ordinary PRNG stream, matching how a real
 ///   deployment would sample; only distributionally equivalent.
 pub trait RowNoise {
-    /// Fills `out` with standard-normal noise for embedding row `row` of
-    /// table `table` attributed to training iteration `iter`.
-    fn fill_unit(&mut self, table: u32, row: u64, iter: u64, out: &mut [f32]);
+    /// Draws the standard-normal noise for embedding row `row` of table
+    /// `table` attributed to training iteration `iter`, one sample per
+    /// element of `out`, calling `f(j, &mut out[j], n_j)` for each `j` in
+    /// order as it is produced.
+    ///
+    /// This is the fused form every noisy update uses: the caller's
+    /// per-element expression (`*w −= lr·σ·n`, …) runs inside the
+    /// sampling loop, so no noise buffer is written or read back.
+    fn apply_unit(
+        &mut self,
+        table: u32,
+        row: u64,
+        iter: u64,
+        out: &mut [f32],
+        f: impl FnMut(usize, &mut f32, f32),
+    );
 
-    /// Fills `out` with noise for a *dense* (non-embedding) parameter
-    /// region `param` at iteration `iter`, element offset `offset`.
+    /// [`apply_unit`](Self::apply_unit) for a *dense* (non-embedding)
+    /// parameter region `param` at iteration `iter`, element offset
+    /// `offset`.
     ///
     /// Default implementation reuses the row addressing with a reserved
     /// table id; implementations may override for different layouts.
+    fn apply_unit_dense(
+        &mut self,
+        param: u32,
+        iter: u64,
+        offset: u64,
+        out: &mut [f32],
+        f: impl FnMut(usize, &mut f32, f32),
+    ) {
+        self.apply_unit(u32::MAX - param, offset, iter, out, f);
+    }
+
+    /// Fills `out` with standard-normal noise for embedding row `row` of
+    /// table `table` attributed to training iteration `iter`.
+    fn fill_unit(&mut self, table: u32, row: u64, iter: u64, out: &mut [f32]) {
+        self.apply_unit(table, row, iter, out, |_, x, n| *x = n);
+    }
+
+    /// Fills `out` with noise for a *dense* (non-embedding) parameter
+    /// region `param` at iteration `iter`, element offset `offset`.
     fn fill_unit_dense(&mut self, param: u32, iter: u64, offset: u64, out: &mut [f32]) {
-        self.fill_unit(u32::MAX - param, offset, iter, out);
+        self.apply_unit_dense(param, iter, offset, out, |_, x, n| *x = n);
     }
 
     /// Whether the noise is a pure function of the `(table, row, iter)`
@@ -137,9 +180,16 @@ impl CounterNoise {
 }
 
 impl RowNoise for CounterNoise {
-    fn fill_unit(&mut self, table: u32, row: u64, iter: u64, out: &mut [f32]) {
+    fn apply_unit(
+        &mut self,
+        table: u32,
+        row: u64,
+        iter: u64,
+        out: &mut [f32],
+        f: impl FnMut(usize, &mut f32, f32),
+    ) {
         let mut stream = self.stream_for(table, row, iter);
-        gaussian::fill_standard_normal(&mut stream, out);
+        gaussian::apply_standard_normal(&mut stream, out, f);
     }
 
     fn addressable(&self) -> bool {
@@ -170,8 +220,15 @@ impl<R: Prng> SequentialNoise<R> {
 }
 
 impl<R: Prng> RowNoise for SequentialNoise<R> {
-    fn fill_unit(&mut self, _table: u32, _row: u64, _iter: u64, out: &mut [f32]) {
-        gaussian::fill_standard_normal(&mut self.rng, out);
+    fn apply_unit(
+        &mut self,
+        _table: u32,
+        _row: u64,
+        _iter: u64,
+        out: &mut [f32],
+        f: impl FnMut(usize, &mut f32, f32),
+    ) {
+        gaussian::apply_standard_normal(&mut self.rng, out, f);
     }
 }
 

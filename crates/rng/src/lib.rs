@@ -13,9 +13,14 @@
 //!   This is what lets the test suite prove that LazyDP's deferred noise
 //!   updates reconstruct exactly the embedding values that eager DP-SGD
 //!   would have produced (paper Fig. 7).
-//! * [`gaussian`]: Box–Muller sampling (the paper's noise-sampling kernel),
-//!   including the instruction-count constants used by the calibrated
-//!   performance model in `lazydp-sysmodel`.
+//! * [`gaussian`]: Box–Muller sampling (the paper's noise-sampling kernel):
+//!   an `f32` kernel with in-repo polynomial `ln`/`sincos`, written over
+//!   lane arrays that LLVM vectorizes, whose bits do not depend on the
+//!   build's `target-cpu`. Its closure form
+//!   ([`apply_standard_normal`], [`RowNoise::apply_unit`]) applies
+//!   each sample where it is produced, so noisy updates write no noise
+//!   buffer. The module also exports the instruction-count constants used
+//!   by the calibrated performance model in `lazydp-sysmodel`.
 //! * [`subsample`]: Poisson subsampling and fixed-size sampling used by the
 //!   DP data loader (Opacus-style Poisson sampler, paper Fig. 9).
 //! * [`stats`]: a small statistical test kit (moments, normal CDF,
@@ -45,7 +50,7 @@ pub mod stats;
 pub mod subsample;
 
 pub use counter::{CounterRng, CounterStream, RowNoise, SequentialNoise};
-pub use gaussian::{box_muller, fill_standard_normal, GaussianSampler};
-pub use parallel::{par_accumulate_noise, par_fill_standard_normal};
+pub use gaussian::{apply_standard_normal, box_muller_f32, fill_standard_normal, GaussianSampler};
+pub use parallel::{par_accumulate_noise, par_apply_dense_noise, par_fill_standard_normal};
 pub use prng::{Prng, SplitMix64, Xoshiro256PlusPlus};
 pub use subsample::{poisson_sample, sample_without_replacement};

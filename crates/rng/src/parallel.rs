@@ -10,7 +10,7 @@
 //! the thread count — so the output is a pure function of the seed:
 //! bitwise identical for any number of workers (DESIGN.md invariant #4).
 
-use crate::counter::CounterRng;
+use crate::counter::{CounterRng, RowNoise};
 use crate::gaussian;
 use lazydp_exec::Executor;
 
@@ -37,7 +37,8 @@ pub fn par_fill_standard_normal(seed: u64, out: &mut [f32], threads: usize) {
 
 /// Parallel version of the fused noisy accumulate: `acc[j] += scale·n_j`
 /// with `n ~ N(0, 1)`, chunked as in [`par_fill_standard_normal`] (and
-/// equally thread-count independent).
+/// equally thread-count independent). Each sample is added as it is
+/// produced, so no chunk allocates a noise buffer.
 ///
 /// # Panics
 ///
@@ -46,12 +47,58 @@ pub fn par_accumulate_noise(seed: u64, scale: f32, acc: &mut [f32], threads: usi
     let root = CounterRng::new(seed ^ 0x243f_6a88_85a3_08d3);
     Executor::new(threads).par_for(acc, FILL_CHUNK, |i, piece| {
         let mut stream = root.derive(i as u64).stream(0);
-        let mut buf = vec![0.0f32; piece.len()];
-        gaussian::fill_standard_normal(&mut stream, &mut buf);
-        for (a, &n) in piece.iter_mut().zip(buf.iter()) {
-            *a += scale * n;
-        }
+        gaussian::apply_standard_normal(&mut stream, piece, |_, a, n| *a += scale * n);
     });
+}
+
+/// Elements per chunk of a dense (non-embedding) noise region: chunk
+/// `c` of a region at element offset `offset` draws the
+/// `(param, iter, offset + c·DENSE_NOISE_CHUNK)` stream. Fixed, never
+/// derived from the thread count.
+pub const DENSE_NOISE_CHUNK: usize = 16_384;
+
+/// Applies the unit noise of dense parameter region `param` at
+/// iteration `iter` to `xs`, fused: `f(&mut xs[j], n_j)` runs as each
+/// sample is produced, so no noise buffer exists. `xs[0]` sits at
+/// element `offset` of the region.
+///
+/// `xs` is cut into [`DENSE_NOISE_CHUNK`]-element chunks, each drawn from
+/// its own `(param, iter, offset)` address through
+/// [`RowNoise::apply_unit_dense`]. An
+/// [`addressable`](RowNoise::addressable) source runs the chunks over an
+/// [`Executor`] of `threads` workers, each on a clone of `noise`; since a
+/// chunk's noise is a pure function of its address, the result is the
+/// same for any `threads`. A stateful source draws the chunks in order
+/// on `noise` itself.
+///
+/// # Panics
+///
+/// Panics if `threads == 0` and `noise` is addressable.
+pub fn par_apply_dense_noise<N>(
+    noise: &mut N,
+    param: u32,
+    iter: u64,
+    offset: u64,
+    xs: &mut [f32],
+    threads: usize,
+    f: impl Fn(&mut f32, f32) + Sync,
+) where
+    N: RowNoise + Clone + Send + Sync,
+{
+    let chunk = |noise: &mut N, c: usize, piece: &mut [f32]| {
+        let at = offset + (c * DENSE_NOISE_CHUNK) as u64;
+        noise.apply_unit_dense(param, iter, at, piece, |_, x, n| f(x, n));
+    };
+    if noise.addressable() {
+        let shared = &*noise;
+        Executor::new(threads).par_for(xs, DENSE_NOISE_CHUNK, |c, piece| {
+            chunk(&mut shared.clone(), c, piece);
+        });
+    } else {
+        for (c, piece) in xs.chunks_mut(DENSE_NOISE_CHUNK).enumerate() {
+            chunk(noise, c, piece);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -126,6 +173,37 @@ mod tests {
         let xs: Vec<f64> = acc1.iter().map(|&x| f64::from(x) - 1.0).collect();
         let (_, var) = stats::mean_var(&xs);
         assert!((var - 0.25).abs() < 0.02, "var {var} ≈ scale²");
+    }
+
+    #[test]
+    fn dense_noise_chunks_are_addressed_and_thread_count_independent() {
+        use crate::counter::CounterNoise;
+        let len = 3 * DENSE_NOISE_CHUNK + 77;
+        let apply = |threads: usize| {
+            let mut xs = vec![1.0f32; len];
+            let mut noise = CounterNoise::new(4);
+            par_apply_dense_noise(&mut noise, 2, 9, 5, &mut xs, threads, |x, n| {
+                *x -= 0.5 * n;
+            });
+            xs
+        };
+        let base = apply(1);
+        for threads in [2usize, 5] {
+            assert_eq!(
+                base,
+                apply(threads),
+                "thread count {threads} changed the noise"
+            );
+        }
+        // Chunk c is the (param, iter, offset + c·DENSE_NOISE_CHUNK) draw.
+        let mut noise = CounterNoise::new(4);
+        for (c, got) in base.chunks(DENSE_NOISE_CHUNK).enumerate() {
+            let mut unit = vec![0.0f32; got.len()];
+            noise.fill_unit_dense(2, 9, 5 + (c * DENSE_NOISE_CHUNK) as u64, &mut unit);
+            for (g, n) in got.iter().zip(&unit) {
+                assert_eq!(g.to_bits(), (1.0 - 0.5 * n).to_bits(), "chunk {c}");
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 /// Converts 64 uniform bits to a uniform `f64` in `[0, 1)` using the top
 /// 53 bits — the exact conversion behind [`Prng::next_f64`], exposed so
-/// batched consumers (the single-pass Gaussian fills) produce the same
-/// value from the same bits.
+/// code holding raw draws (the Gaussian kernel's f64 accuracy oracle)
+/// gets the same value from the same bits.
 #[inline]
 #[must_use]
 pub fn u64_to_unit_f64(bits: u64) -> f64 {

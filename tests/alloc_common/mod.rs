@@ -104,3 +104,16 @@ pub fn assert_steady_state_zero_alloc(
         "counting allocator must observe allocations"
     );
 }
+
+/// Heap allocation calls `f` makes, counted by the same allocator. For
+/// paths that cannot be allocation-free (a multi-thread executor spawns
+/// its scoped workers per parallel region) but must not allocate per
+/// chunk.
+#[allow(dead_code)] // only some of the binaries sharing this module call it
+pub fn count_alloc_calls(f: impl FnOnce()) -> u64 {
+    CALLS.store(0, Ordering::SeqCst);
+    ENABLED.store(true, Ordering::SeqCst);
+    f();
+    ENABLED.store(false, Ordering::SeqCst);
+    CALLS.load(Ordering::SeqCst)
+}

@@ -3,11 +3,17 @@
 //! The `EagerScratch` refactor's contract: with the ghost-clipping
 //! (`Fast`) style, a single noise thread, and in-memory tables, an
 //! `EagerDpSgd::step` allocates **zero** heap bytes once warm-up has
-//! sized the scratch — the dense noisy update draws into a reusable
-//! buffer via `dense_noisy_update_with`. (The (B) and (R) styles
-//! materialize per-example state and are exempt by design.) See
-//! `alloc_common` for the harness; this file holds exactly one test so
-//! no concurrent thread pollutes the counters.
+//! sized the scratch — the dense noisy update (`dense_noisy_update`)
+//! applies each sample as it is drawn and needs no buffer at all. (The
+//! (B) and (R) styles materialize per-example state and are exempt by
+//! design.) See `alloc_common` for the harness; this file holds exactly
+//! one test so no concurrent thread pollutes the counters.
+//!
+//! The multi-thread eager path is not covered here: the executor spawns
+//! its scoped workers per parallel region, and every spawn allocates
+//! thread state, so no multi-thread step can allocate zero bytes.
+//! `alloc_per_chunk_eager.rs` pins what that path does guarantee — no
+//! allocation per chunk.
 
 mod alloc_common;
 

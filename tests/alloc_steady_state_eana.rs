@@ -3,8 +3,8 @@
 //! The `EanaScratch` refactor's contract: with a single noise thread
 //! and in-memory tables, an `EanaOptimizer::step` allocates **zero**
 //! heap bytes once warm-up has sized the scratch — the accessed-rows
-//! noisy update draws into a reusable buffer via
-//! `sparse_noisy_update_with`. See `alloc_common` for the harness; this
+//! noisy update (`sparse_noisy_update`) applies each sample as it is
+//! drawn and needs no buffer at all. See `alloc_common` for the harness; this
 //! file holds exactly one test so no concurrent thread pollutes the
 //! counters.
 
