@@ -22,9 +22,7 @@ pub trait AccountedOptimizer<T: EmbeddingStorage = EmbeddingTable>: Optimizer<T>
     fn mechanism(&self) -> Mechanism;
 }
 
-impl<N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage> AccountedOptimizer<T>
-    for LazyDpOptimizer<N>
-{
+impl<N: RowNoise, T: EmbeddingStorage> AccountedOptimizer<T> for LazyDpOptimizer<N> {
     fn mechanism(&self) -> Mechanism {
         // Lazy timing defers *when* noise lands, never *what* is
         // released: plain subsampled Gaussian accounting (paper §5).
@@ -34,7 +32,7 @@ impl<N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage> AccountedOptimizer<
     }
 }
 
-impl<N: RowNoise + Clone + Send + Sync> AccountedOptimizer for EagerDpSgd<N> {
+impl<N: RowNoise> AccountedOptimizer for EagerDpSgd<N> {
     fn mechanism(&self) -> Mechanism {
         Mechanism::Gaussian {
             sigma: self.config().noise_multiplier,
@@ -42,7 +40,7 @@ impl<N: RowNoise + Clone + Send + Sync> AccountedOptimizer for EagerDpSgd<N> {
     }
 }
 
-impl<N: RowNoise + Clone + Send + Sync> AccountedOptimizer for EanaOptimizer<N> {
+impl<N: RowNoise> AccountedOptimizer for EanaOptimizer<N> {
     fn mechanism(&self) -> Mechanism {
         // EANA's *nominal* accounting (Ning et al.): the σ it targets.
         // Its actual guarantee is weaker and data-dependent — untouched
@@ -54,9 +52,7 @@ impl<N: RowNoise + Clone + Send + Sync> AccountedOptimizer for EanaOptimizer<N> 
     }
 }
 
-impl<N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage> AccountedOptimizer<T>
-    for AdaFestOptimizer<N>
-{
+impl<N: RowNoise, T: EmbeddingStorage> AccountedOptimizer<T> for AdaFestOptimizer<N> {
     fn mechanism(&self) -> Mechanism {
         // `SelectThenNoise` treats `sigma_select` as the multiplier
         // relative to the count query's ℓ₂ sensitivity. The optimizer

@@ -136,7 +136,7 @@ impl Checkpoint {
     /// backend the run used, so storage-backed and in-memory checkpoints
     /// are interchangeable.
     #[must_use]
-    pub fn capture<T: EmbeddingStorage, N: RowNoise + Clone + Send + Sync>(
+    pub fn capture<T: EmbeddingStorage, N: RowNoise>(
         model: &Dlrm<T>,
         opt: &LazyDpOptimizer<N>,
     ) -> Self {
@@ -169,18 +169,14 @@ impl Checkpoint {
     ///
     /// The stored history is repartitioned into `cfg.dp.shards` shards —
     /// the shard count may differ from the run that saved the
-    /// checkpoint, and (with an addressable noise source) the resumed
-    /// training is bitwise identical either way.
+    /// checkpoint, and the resumed training is bitwise identical either
+    /// way.
     ///
     /// # Panics
     ///
     /// Panics if the checkpoint's shapes are internally inconsistent.
     #[must_use]
-    pub fn restore<N: RowNoise + Clone + Send + Sync>(
-        &self,
-        cfg: LazyDpConfig,
-        noise: N,
-    ) -> (Dlrm, LazyDpOptimizer<N>) {
+    pub fn restore<N: RowNoise>(&self, cfg: LazyDpConfig, noise: N) -> (Dlrm, LazyDpOptimizer<N>) {
         // Rebuild the model skeleton, then overwrite every weight.
         let mut seed_rng = lazydp_rng::Xoshiro256PlusPlus::seed_from(0);
         let mut model = Dlrm::new(self.config.clone(), &mut seed_rng);
@@ -206,7 +202,7 @@ impl Checkpoint {
     /// # Panics
     ///
     /// Panics if the checkpoint's shapes are internally inconsistent.
-    pub fn restore_stored<N: RowNoise + Clone + Send + Sync>(
+    pub fn restore_stored<N: RowNoise>(
         &self,
         cfg: LazyDpConfig,
         noise: N,
@@ -261,11 +257,7 @@ impl Checkpoint {
 
     /// Rebuilds the optimizer from the checkpointed history (always
     /// stored in global row order, repartitioned into `cfg.dp.shards`).
-    fn rebuild_optimizer<N: RowNoise + Clone + Send + Sync>(
-        &self,
-        cfg: LazyDpConfig,
-        noise: N,
-    ) -> LazyDpOptimizer<N> {
+    fn rebuild_optimizer<N: RowNoise>(&self, cfg: LazyDpConfig, noise: N) -> LazyDpOptimizer<N> {
         let history: Vec<ShardedHistory> = self
             .history
             .iter()
@@ -581,9 +573,8 @@ mod tests {
     fn resume_across_shard_count_change_is_bitwise_exact() {
         // The checkpoint format is shard-independent: a run saved at
         // S=1 must resume at S=4 (and back) with a bitwise-identical
-        // finalized model. CounterNoise is addressable, so both the
-        // resumed steps and the release-time flush are exercised on the
-        // sharded path.
+        // finalized model. Both the resumed steps and the release-time
+        // flush are exercised on the sharded path.
         let (model0, ds, mut cfg) = setup();
         cfg.ans = true;
         let bs = batches(&ds, 9);

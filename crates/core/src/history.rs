@@ -9,11 +9,11 @@
 //!
 //! [`ShardedHistory`] hash-partitions one table's history across `S`
 //! independent [`HistoryTable`] shards using the same [`ShardSpec`] as
-//! `lazydp_embedding::ShardedTable`, so the serial phase-1 bookkeeping
-//! of a [`NoisePlan`](crate::plan::NoisePlan) flush can run
-//! shard-parallel: each shard's delays are per-row state, so any
-//! partition of the rows yields the same delays — sharding changes who
-//! walks a row, never what the row owes.
+//! `lazydp_embedding::ShardedTable`, so a
+//! [`LookaheadFlush`](crate::plan::LookaheadFlush) can list and sample
+//! each shard's rows independently: each shard's delays are per-row
+//! state, so any partition of the rows yields the same delays —
+//! sharding changes who handles a row, never what the row owes.
 
 use lazydp_embedding::ShardSpec;
 

@@ -22,13 +22,16 @@
 //!    sampling. The substitution is distributional, so the privacy
 //!    guarantee is untouched (same σ, q, T — see `lazydp-privacy`).
 //!
-//! Scaling machinery on top of the algorithm (PRs 2–3, see
-//! `ARCHITECTURE.md`): the flush is hash-partitioned into
-//! `DpConfig::shards` independent [`ShardedHistory`] shards that run
-//! shard-parallel and *overlapped* with the step's dense compute, and
-//! the input pipeline can be made asynchronous
-//! ([`PrivateTrainer::make_private_prefetch`]). Both are bitwise
-//! invisible in the trained model.
+//! Scaling machinery on top of the algorithm (see `ARCHITECTURE.md`):
+//! one lookahead flush ([`LookaheadFlush`]) serves every LazyDP update
+//! loop. Its history is hash-partitioned into `DpConfig::shards`
+//! independent [`ShardedHistory`] shards that sample shard-parallel, and
+//! the optimizer runs it *overlapped* with the step's dense compute; the
+//! input pipeline can be made asynchronous
+//! ([`PrivateTrainer::make_private_prefetch`]). All of it is bitwise
+//! invisible in the trained model, because the only noise source,
+//! `lazydp_rng::counter::CounterNoise`, is a pure function of the
+//! `(table, row, iter)` address.
 //!
 //! The user-facing entry point mirrors the paper's Fig. 9 wrapper:
 //!
@@ -72,7 +75,7 @@ pub use checkpoint::Checkpoint;
 pub use history::{HistoryTable, ShardedHistory};
 pub use optimizer::{LazyDpConfig, LazyDpOptimizer};
 pub use overhead::{history_table_bytes, input_queue_bytes, OverheadReport};
-pub use plan::{flush_next_rows_sharded, NoisePlan, NoisePlanEntry, ShardedFlush};
+pub use plan::{LookaheadFlush, NoisePlan, NoisePlanEntry};
 pub use recovery::{open_and_sweep, CheckpointError, CheckpointStore};
 pub use scale::TerabyteLazyEmbedding;
 pub use wrapper::PrivateTrainer;

@@ -1,25 +1,28 @@
-//! Two-phase noise plans: the data-parallel restructuring of LazyDP's
-//! pending-noise flush.
+//! The lookahead flush: LazyDP's pending-noise update, split into
+//! bookkeeping and sampling.
 //!
 //! Algorithm 1's per-row flush interleaves two very different kinds of
 //! work: *bookkeeping* (reading and resetting [`HistoryTable`] delays —
 //! serial, branchy, cheap) and *noise generation* (Box–Muller sampling
 //! and accumulation — the §4.3 compute bottleneck, embarrassingly
-//! parallel). A [`NoisePlan`] splits them:
+//! parallel). [`LookaheadFlush::run`] is the one function that plans and
+//! samples lookahead noise, for both `LazyDpOptimizer` and
+//! `TerabyteLazyEmbedding`:
 //!
-//! 1. **Plan (serial):** the deduped touched-row set is walked once;
-//!    each row's pending delay count is taken from the history and the
-//!    row is assigned a slot in the sparse update. The history is only
-//!    ever touched here, so it needs no synchronization.
-//! 2. **Sample (parallel):** the planned rows' noise is accumulated on
-//!    the [`lazydp_exec::Executor`] in fixed-size entry chunks. Noise
-//!    is addressed by `(table, row, iter)` — never by chunk or thread —
-//!    so the result is bitwise identical for any thread count
-//!    (DESIGN.md invariant #4).
+//! 1. **Walk:** each row the *next* iteration gathers has its pending
+//!    delay count taken from its history shard; the rows that owe noise
+//!    are listed per shard.
+//! 2. **Sample:** the shards sample their rows concurrently, each with
+//!    the chunked sampler [`NoisePlan::sample_entries`] on the executor
+//!    width left over by the fan-out (inline at width 1).
+//! 3. **Merge:** [`LookaheadFlush::merge_into`] adds each row's noise
+//!    into the step's coalesced sparse update.
 //!
-//! Both the per-step flush ([`NoisePlan::for_next_rows`]) and the
-//! release-time flush ([`NoisePlan::for_all_rows`] in
-//! `LazyDpOptimizer::finalize_model`) run on this machinery.
+//! Noise is addressed by `(table, row, iter)` — never by chunk, shard or
+//! thread — so the result is bitwise identical for any thread or shard
+//! count (DESIGN.md invariant #4). The release-time flush
+//! (`LazyDpOptimizer::finalize_model`) plans with
+//! [`NoisePlan::for_all_rows_of_shard`] and runs the same sampler.
 
 use crate::ans::aggregated_std;
 use crate::history::{HistoryTable, ShardedHistory};
@@ -36,119 +39,31 @@ const ENTRIES_PER_CHUNK: usize = 32;
 /// One row awaiting its pending noise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoisePlanEntry {
-    /// The embedding row.
+    /// The embedding row (global id).
     pub row: u64,
     /// How many deferred noise updates it owes (≥ 1).
     pub delays: u64,
-    /// The entry index in the sparse update this noise lands in (for
-    /// [`NoisePlan::for_all_rows`] plans: the plan position itself).
-    pub slot: usize,
 }
 
-/// The rows of one embedding table whose pending noise must land now,
-/// with their delay counts already taken from the [`HistoryTable`].
+/// Every row of one history shard whose pending noise must land at
+/// release, with its delay count already taken from the history.
 #[derive(Debug, Clone)]
 pub struct NoisePlan {
-    table_id: u32,
-    iter: u64,
     entries: Vec<NoisePlanEntry>,
 }
 
 impl NoisePlan {
-    /// Phase 1 for a training step (Algorithm 1 lines 13–21): takes the
-    /// delays of every row in `targets` (the deduped rows the *next*
-    /// iteration gathers) and assigns each pending row a slot in
-    /// `update`, appending zero entries for rows the gradient did not
-    /// touch.
-    ///
-    /// `update` must be coalesced (sorted, duplicate-free) on entry and
-    /// `targets` must be sorted and duplicate-free
-    /// ([`dedup_indices`](lazydp_embedding::sparse::dedup_indices)
-    /// output).
-    #[must_use]
-    pub fn for_next_rows(
-        table_id: u32,
-        iter: u64,
-        targets: &[u64],
-        history: &mut HistoryTable,
-        update: &mut SparseGrad,
-        counters: &mut KernelCounters,
-    ) -> Self {
-        let mut entries = Vec::new();
-        Self::plan_next_rows(targets, iter, history, update, counters, &mut entries);
-        Self {
-            table_id,
-            iter,
-            entries,
-        }
-    }
-
-    /// The phase-1 walk of [`for_next_rows`](Self::for_next_rows) into a
-    /// caller-owned entry buffer (cleared and refilled), so the per-step
-    /// flush plans without allocating. Pair with
-    /// [`sample_entries_into`](Self::sample_entries_into).
-    pub fn plan_next_rows(
-        targets: &[u64],
-        iter: u64,
-        history: &mut HistoryTable,
-        update: &mut SparseGrad,
-        counters: &mut KernelCounters,
-        entries: &mut Vec<NoisePlanEntry>,
-    ) {
-        // The coalesced prefix stays binary-searchable; rows appended
-        // below are new (targets are deduped), so they never need to be
-        // found again within this plan.
-        let sorted_len = update.len();
-        entries.clear();
-        for &row in targets {
-            counters.history_reads += 1;
-            counters.history_writes += 1;
-            let delays = history.take_delays(row, iter);
-            if delays == 0 {
-                continue;
-            }
-            let slot = match update.indices()[..sorted_len].binary_search(&row) {
-                Ok(i) => i,
-                Err(_) => {
-                    let i = update.len();
-                    let _ = update.push_zeros(row);
-                    i
-                }
-            };
-            entries.push(NoisePlanEntry { row, delays, slot });
-            lazydp_obs::metrics().trainer.noise_plan_rows.incr();
-            lazydp_obs::metrics().trainer.pending_depth.record(delays);
-        }
-    }
-
-    /// Phase 1 for the release-time flush (threat model §3): scans all
-    /// `rows` of the table, planning every row with pending noise. Slots
-    /// are the plan positions themselves (the caller applies noise
-    /// straight to table rows, not to a sparse update).
-    #[must_use]
-    pub fn for_all_rows(
-        table_id: u32,
-        iter: u64,
-        rows: usize,
-        history: &mut HistoryTable,
-        counters: &mut KernelCounters,
-    ) -> Self {
-        debug_assert_eq!(rows, history.rows(), "history covers the table");
-        Self::for_all_rows_of_shard(table_id, iter, ShardSpec::new(1), 0, history, counters)
-    }
-
-    /// [`for_all_rows`](Self::for_all_rows) over one shard of a
+    /// Plans the release-time flush (threat model §3) of one shard of a
     /// hash-partitioned history: scans the shard's local rows and plans
-    /// entries under their **global** row ids, so the sampled noise is
-    /// addressed identically to the 1-shard path. With
-    /// `ShardSpec::new(1)` this *is* `for_all_rows`.
+    /// every row with pending noise at `iter`, under its **global** row
+    /// id, so the sampled noise is addressed identically for any shard
+    /// count.
     ///
     /// # Panics
     ///
     /// Panics if `shard` is out of range for `spec`.
     #[must_use]
     pub fn for_all_rows_of_shard(
-        table_id: u32,
         iter: u64,
         spec: ShardSpec,
         shard: usize,
@@ -166,14 +81,9 @@ impl NoisePlan {
             entries.push(NoisePlanEntry {
                 row: spec.global_row(shard, local),
                 delays,
-                slot: entries.len(),
             });
         }
-        Self {
-            table_id,
-            iter,
-            entries,
-        }
+        Self { entries }
     }
 
     /// The planned rows.
@@ -182,207 +92,147 @@ impl NoisePlan {
         &self.entries
     }
 
-    /// Number of planned rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no row owes noise.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Phase 2: samples every planned row's pending noise data-parallel
-    /// on `exec`, returning a `len() × dim` row-major buffer in plan
-    /// order (gradient units — callers scale by −η when applying).
+    /// The chunked sampler: accumulates every entry's pending noise into
+    /// `acc`, resized to an `entries.len() × dim` row-major block in
+    /// entry order (gradient units — callers scale by −η when applying).
+    /// Chunks of entries run on `exec`, each on its own clone of
+    /// `noise`; at width 1 they run inline and nothing is allocated
+    /// beyond `acc`. Returns the number of Gaussian samples drawn.
     ///
     /// Per entry this reproduces Algorithm 1 exactly: with ANS one draw
     /// `~ N(0, delays·σ²C²/B²)` (line 38); without, the `delays`
     /// separate draws addressed by the iteration whose noise they are —
     /// the exact values eager DP-SGD would have drawn (lines 32–35).
     ///
-    /// The parallel path clones the source per chunk, which is only
-    /// sound for [`addressable`](RowNoise::addressable) sources;
-    /// stateful (non-addressable) ones are sampled sequentially through
-    /// the live `&mut` reference instead, so their stream advances
-    /// exactly as the pre-plan serial flush did.
-    pub fn sample_noise<N>(
-        &self,
-        dim: usize,
-        per_step_std: f32,
-        ans: bool,
-        noise: &mut N,
-        exec: &Executor,
-        counters: &mut KernelCounters,
-    ) -> Vec<f32>
-    where
-        N: RowNoise + Clone + Send + Sync,
-    {
-        Self::sample_entries(
-            self.table_id,
-            self.iter,
-            &self.entries,
-            dim,
-            per_step_std,
-            ans,
-            noise,
-            exec,
-            counters,
-        )
-    }
-
-    /// [`sample_noise`](Self::sample_noise) over an explicit entry
-    /// slice — lets `finalize_model` flush a huge table in bounded
-    /// segments without materializing table-sized noise buffers.
+    /// # Panics
+    ///
+    /// Panics if `dim == 0` and `entries` is not empty.
     #[allow(clippy::too_many_arguments)]
-    pub fn sample_entries<N>(
+    pub fn sample_entries<N: RowNoise>(
         table_id: u32,
         iter: u64,
         entries: &[NoisePlanEntry],
         dim: usize,
         per_step_std: f32,
         ans: bool,
-        noise: &mut N,
+        noise: &N,
         exec: &Executor,
-        counters: &mut KernelCounters,
-    ) -> Vec<f32>
-    where
-        N: RowNoise + Clone + Send + Sync,
-    {
-        let mut acc = Vec::new();
-        Self::sample_entries_into(
-            table_id,
-            iter,
-            entries,
-            dim,
-            per_step_std,
-            ans,
-            noise,
-            exec,
-            counters,
-            &mut acc,
-        );
-        acc
-    }
-
-    /// [`sample_entries`](Self::sample_entries) into a caller-owned
-    /// buffer: `acc` receives the `entries.len() × dim` noise block. The
-    /// draws are accumulated into `acc` as they are sampled, so no
-    /// chunk needs a draw buffer and only `acc` itself is ever sized.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_entries_into<N>(
-        table_id: u32,
-        iter: u64,
-        entries: &[NoisePlanEntry],
-        dim: usize,
-        per_step_std: f32,
-        ans: bool,
-        noise: &mut N,
-        exec: &Executor,
-        counters: &mut KernelCounters,
         acc: &mut Vec<f32>,
-    ) where
-        N: RowNoise + Clone + Send + Sync,
-    {
+    ) -> u64 {
         acc.clear();
         acc.resize(entries.len() * dim, 0.0);
-        if dim > 0 && exec.is_parallel() && noise.addressable() {
-            let noise = &*noise;
-            exec.par_for(acc.as_mut_slice(), ENTRIES_PER_CHUNK * dim, |c, chunk| {
-                // One noise handle per chunk, reused across its rows.
-                // Cloning is free and sound here: an addressable source
-                // is a pure function of the (table, row, iter) address.
-                let mut worker_noise = noise.clone();
-                let first = c * ENTRIES_PER_CHUNK;
-                for (k, out) in chunk.chunks_mut(dim).enumerate() {
-                    Self::accumulate_entry(
-                        table_id,
-                        iter,
-                        &entries[first + k],
-                        per_step_std,
-                        ans,
-                        &mut worker_noise,
-                        out,
-                    );
+        exec.par_for(acc.as_mut_slice(), ENTRIES_PER_CHUNK * dim, |c, chunk| {
+            let mut noise = noise.clone();
+            let first = c * ENTRIES_PER_CHUNK;
+            for (e, out) in entries[first..].iter().zip(chunk.chunks_mut(dim)) {
+                if ans {
+                    // One draw ~ N(0, delays·σ²C²/B²) — line 38.
+                    let std = aggregated_std(per_step_std, e.delays);
+                    noise.apply_unit(table_id, e.row, iter, out, |_, o, n| *o += std * n);
+                } else {
+                    for k_iter in (iter - e.delays + 1)..=iter {
+                        noise.apply_unit(table_id, e.row, k_iter, out, |_, o, n| {
+                            *o += per_step_std * n;
+                        });
+                    }
                 }
-            });
-        } else if dim > 0 {
-            // Inline path (single worker, or a stateful source that must
-            // draw sequentially in plan order through the live
-            // reference): same values — an addressable source is a pure
-            // function of the address, and chunking never changes the
-            // per-row arithmetic.
-            for (e, out) in entries.iter().zip(acc.chunks_mut(dim)) {
-                Self::accumulate_entry(table_id, iter, e, per_step_std, ans, noise, out);
             }
-        }
+        });
         let draws: u64 = entries.iter().map(|e| if ans { 1 } else { e.delays }).sum();
-        counters.gaussian_samples += draws * dim as u64;
-    }
-
-    /// Accumulates one entry's pending noise into `out`, each draw added
-    /// as it is sampled.
-    fn accumulate_entry<N: RowNoise>(
-        table_id: u32,
-        iter: u64,
-        e: &NoisePlanEntry,
-        per_step_std: f32,
-        ans: bool,
-        noise: &mut N,
-        out: &mut [f32],
-    ) {
-        if ans {
-            // One draw ~ N(0, delays·σ²C²/B²) — line 38.
-            let std = aggregated_std(per_step_std, e.delays);
-            noise.apply_unit(table_id, e.row, iter, out, |_, o, n| *o += std * n);
-        } else {
-            for k_iter in (iter - e.delays + 1)..=iter {
-                noise.apply_unit(table_id, e.row, k_iter, out, |_, o, n| {
-                    *o += per_step_std * n;
-                });
-            }
-        }
+        draws * dim as u64
     }
 }
 
-/// The result of a shard-parallel lookahead flush: every pending row the
-/// next batch will touch (global ids, shard-major order) with its
-/// sampled noise, ready to merge into the step's sparse update.
-///
-/// Shard-major order differs from the 1-shard path's sorted order, but
-/// the *values* do not: each row's delays come from its own history
-/// entry and its noise is addressed by `(table, global row, iter)`, so
-/// per-row arithmetic — and therefore the updated table — is bitwise
-/// identical for any shard count.
-#[derive(Debug, Clone)]
-pub struct ShardedFlush {
+/// One history shard's share of a [`LookaheadFlush`]: its planned rows
+/// and their sampled noise.
+#[derive(Debug, Clone, Default)]
+struct ShardFlush {
     entries: Vec<NoisePlanEntry>,
     noise: Vec<f32>,
+    samples: u64,
+}
+
+/// One table's lookahead flush (Algorithm 1 lines 13–21), with its
+/// per-shard buffers. Keep one per table across steps: after warm-up a
+/// flush reuses its buffers and allocates nothing of its own.
+///
+/// Rows are held in shard-major order, unlike the sorted target order,
+/// but the *values* do not depend on it: each row's delays come from
+/// its own history entry and its noise is addressed by
+/// `(table, global row, iter)`, so the merged update — and therefore the
+/// trained table — is bitwise identical for any shard count.
+#[derive(Debug, Clone, Default)]
+pub struct LookaheadFlush {
+    shards: Vec<ShardFlush>,
     dim: usize,
 }
 
-impl ShardedFlush {
-    /// The planned rows (global ids, shard-major order).
-    #[must_use]
-    pub fn entries(&self) -> &[NoisePlanEntry] {
-        &self.entries
+impl LookaheadFlush {
+    /// Plans and samples the pending noise of `targets` — the sorted,
+    /// deduplicated global rows the *next* iteration gathers — at
+    /// iteration `iter`, taking each row's delays from `history`. Shards
+    /// sample concurrently on `exec`, the width left over by the fan-out
+    /// going to each shard's chunks. Land the result with
+    /// [`merge_into`](Self::merge_into).
+    #[allow(clippy::too_many_arguments)]
+    pub fn run<N: RowNoise>(
+        &mut self,
+        table_id: u32,
+        iter: u64,
+        targets: &[u64],
+        history: &mut ShardedHistory,
+        dim: usize,
+        per_step_std: f32,
+        ans: bool,
+        noise: &N,
+        exec: &Executor,
+        counters: &mut KernelCounters,
+    ) {
+        // Kill point `flush`: a crash mid-flush leaves the history's
+        // last-touched iterations partially advanced. Only table 0 hosts
+        // the point so one kill fires per step, not per table.
+        if table_id == 0 {
+            lazydp_fault::point(lazydp_fault::Site::MidFlush, iter);
+        }
+        let spec = history.spec();
+        self.dim = dim;
+        self.shards.resize_with(spec.shards(), ShardFlush::default);
+        for shard in &mut self.shards {
+            shard.entries.clear();
+        }
+        let metrics = &lazydp_obs::metrics().trainer;
+        for &row in targets {
+            counters.history_reads += 1;
+            counters.history_writes += 1;
+            let delays = history.take_delays(row, iter);
+            if delays == 0 {
+                continue;
+            }
+            self.shards[spec.shard_of(row)]
+                .entries
+                .push(NoisePlanEntry { row, delays });
+            metrics.noise_plan_rows.incr();
+            metrics.pending_depth.record(delays);
+        }
+        let inner = Executor::new((exec.threads() / spec.shards()).max(1));
+        exec.par_for(&mut self.shards, 1, |_, shard| {
+            let shard = &mut shard[0];
+            shard.samples = NoisePlan::sample_entries(
+                table_id,
+                iter,
+                &shard.entries,
+                dim,
+                per_step_std,
+                ans,
+                noise,
+                &inner,
+                &mut shard.noise,
+            );
+        });
+        counters.gaussian_samples += self.shards.iter().map(|s| s.samples).sum::<u64>();
     }
 
-    /// Number of planned rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no row owes noise.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Accumulates the flushed noise into a **coalesced** sparse update
+    /// Adds the sampled noise into a **coalesced** sparse update
     /// (Algorithm 1 lines 17–21): rows the gradient already touches get
     /// their noise added in place; rows it does not are appended as
     /// noise-only entries.
@@ -392,152 +242,25 @@ impl ShardedFlush {
     /// Panics if `update`'s dimension differs from the flush's.
     pub fn merge_into(&self, update: &mut SparseGrad) {
         assert_eq!(update.dim(), self.dim, "flush/update dim mismatch");
-        if self.dim == 0 || self.entries.is_empty() {
-            return;
-        }
         // The coalesced prefix stays binary-searchable; appended rows
-        // are unique (targets were deduplicated), so they are never
+        // are unique (targets are deduplicated), so they are never
         // looked up again within this merge.
         let sorted_len = update.len();
-        for (e, nv) in self.entries.iter().zip(self.noise.chunks_exact(self.dim)) {
-            let slot = match update.indices()[..sorted_len].binary_search(&e.row) {
-                Ok(i) => i,
-                Err(_) => {
-                    let i = update.len();
-                    let _ = update.push_zeros(e.row);
-                    i
+        for shard in &self.shards {
+            for (e, nv) in shard.entries.iter().zip(shard.noise.chunks_exact(self.dim)) {
+                let slot = match update.indices()[..sorted_len].binary_search(&e.row) {
+                    Ok(i) => i,
+                    Err(_) => {
+                        let i = update.len();
+                        let _ = update.push_zeros(e.row);
+                        i
+                    }
+                };
+                for (w, &n) in update.entry_mut(slot).iter_mut().zip(nv) {
+                    *w += n;
                 }
-            };
-            for (w, &n) in update.entry_mut(slot).iter_mut().zip(nv.iter()) {
-                *w += n;
             }
         }
-    }
-}
-
-/// One shard's slice of a [`flush_next_rows_sharded`] call: the borrowed
-/// history shard, its targets, and its outputs. Boxed into a `Vec` so
-/// `Executor::par_for` can hand each worker one task mutably.
-struct ShardFlushTask<'a> {
-    history: &'a mut HistoryTable,
-    targets: Vec<u64>,
-    entries: Vec<NoisePlanEntry>,
-    noise: Vec<f32>,
-    counters: KernelCounters,
-}
-
-/// Runs both phases of a lookahead flush shard-parallel: each shard
-/// walks its own history (phase 1) and samples its own rows' pending
-/// noise (phase 2) with no shared mutable state; executor width left
-/// over by the shard fan-out goes to the within-shard sampling chunks.
-/// `targets` must be the sorted, deduplicated global rows the *next*
-/// batch gathers.
-///
-/// Requires an [`addressable`](RowNoise::addressable) noise source (the
-/// per-shard clones of a stateful stream would replay correlated noise);
-/// callers must fall back to [`NoisePlan::for_next_rows`] +
-/// [`NoisePlan::sample_noise`] otherwise.
-///
-/// # Panics
-///
-/// Panics if `noise` is not addressable.
-#[allow(clippy::too_many_arguments)]
-pub fn flush_next_rows_sharded<N>(
-    table_id: u32,
-    iter: u64,
-    targets: &[u64],
-    history: &mut ShardedHistory,
-    dim: usize,
-    per_step_std: f32,
-    ans: bool,
-    noise: &N,
-    exec: &Executor,
-    counters: &mut KernelCounters,
-) -> ShardedFlush
-where
-    N: RowNoise + Clone + Send + Sync,
-{
-    assert!(
-        noise.addressable(),
-        "sharded flush requires an addressable noise source"
-    );
-    // Kill point `flush`: a crash mid-flush leaves the history's
-    // last-touched iterations partially advanced. Only table 0 hosts
-    // the point so one kill fires per step, not per table.
-    if table_id == 0 {
-        lazydp_fault::point(lazydp_fault::Site::MidFlush, iter);
-    }
-    let spec = history.spec();
-    let shard_targets = spec.partition_indices(targets);
-    // Split the executor budget between the shard fan-out and the
-    // within-shard sampling: with fewer shards than threads the leftover
-    // width goes to each shard's phase-2 chunks (S=1 keeps the full
-    // thread-parallel sampling the monolithic path had). Chunk
-    // addressing makes the result identical either way.
-    let inner_exec = Executor::new((exec.threads() / spec.shards()).max(1));
-    let mut tasks: Vec<ShardFlushTask> = history
-        .shards_mut()
-        .iter_mut()
-        .zip(shard_targets)
-        .map(|(h, targets)| ShardFlushTask {
-            history: h,
-            targets,
-            entries: Vec::new(),
-            noise: Vec::new(),
-            counters: KernelCounters::new(),
-        })
-        .collect();
-    exec.par_for(&mut tasks, 1, |_, chunk| {
-        let task = &mut chunk[0];
-        // Phase 1: this shard's history walk (serial within the shard;
-        // shards are the unit of parallelism).
-        for &row in &task.targets {
-            task.counters.history_reads += 1;
-            task.counters.history_writes += 1;
-            let delays = task.history.take_delays(spec.local_row(row), iter);
-            if delays == 0 {
-                continue;
-            }
-            task.entries.push(NoisePlanEntry {
-                row,
-                delays,
-                slot: task.entries.len(),
-            });
-        }
-        // Phase 2: sample this shard's rows. Cloning is sound because
-        // the source is addressable (asserted above).
-        let mut worker_noise = noise.clone();
-        task.noise = NoisePlan::sample_entries(
-            table_id,
-            iter,
-            &task.entries,
-            dim,
-            per_step_std,
-            ans,
-            &mut worker_noise,
-            &inner_exec,
-            &mut task.counters,
-        );
-    });
-    let mut entries = Vec::new();
-    let mut noise_buf = Vec::new();
-    for task in tasks {
-        counters.merge(&task.counters);
-        entries.extend(task.entries);
-        noise_buf.extend(task.noise);
-    }
-    for (i, e) in entries.iter_mut().enumerate() {
-        e.slot = i;
-        lazydp_obs::metrics().trainer.pending_depth.record(e.delays);
-    }
-    lazydp_obs::metrics()
-        .trainer
-        .noise_plan_rows
-        .add(entries.len() as u64);
-    ShardedFlush {
-        entries,
-        noise: noise_buf,
-        dim,
     }
 }
 
@@ -554,42 +277,112 @@ mod tests {
         h
     }
 
-    #[test]
-    fn for_next_rows_plans_only_pending_targets_and_slots_them() {
-        let mut h = history_at(8, &[(2, 5)]); // row 2 already flushed at 5
-        let mut update = SparseGrad::from_entries(2, vec![(1, vec![1.0, 1.0])]);
-        let _ = update.coalesce();
-        let mut c = KernelCounters::new();
-        let plan = NoisePlan::for_next_rows(0, 5, &[1, 2, 4], &mut h, &mut update, &mut c);
-        // Row 2 owes nothing at iter 5; rows 1 and 4 owe 5 each.
-        assert_eq!(plan.len(), 2);
-        assert_eq!(
-            plan.entries()[0],
-            NoisePlanEntry {
-                row: 1,
-                delays: 5,
-                slot: 0
+    fn sample(
+        entries: &[NoisePlanEntry],
+        dim: usize,
+        ans: bool,
+        noise: &CounterNoise,
+        threads: usize,
+    ) -> (Vec<f32>, u64) {
+        let mut acc = Vec::new();
+        let exec = Executor::new(threads);
+        let samples =
+            NoisePlan::sample_entries(2, 9, entries, dim, 0.25, ans, noise, &exec, &mut acc);
+        (acc, samples)
+    }
+
+    /// Per-row oracle for [`LookaheadFlush`]: Algorithm 1 lines 13–21
+    /// one target at a time on a monolithic history, each row's noise
+    /// drawn straight from the source and added through its slot in the
+    /// coalesced update.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_flush(
+        table_id: u32,
+        iter: u64,
+        targets: &[u64],
+        history: &mut HistoryTable,
+        per_step_std: f32,
+        ans: bool,
+        noise: &mut CounterNoise,
+        update: &mut SparseGrad,
+        counters: &mut KernelCounters,
+    ) {
+        let dim = update.dim();
+        let sorted_len = update.len();
+        let mut unit = vec![0.0f32; dim];
+        for &row in targets {
+            counters.history_reads += 1;
+            counters.history_writes += 1;
+            let delays = history.take_delays(row, iter);
+            if delays == 0 {
+                continue;
             }
-        );
-        // Row 4 was absent from the gradient: appended as a zero entry.
-        assert_eq!(
-            plan.entries()[1],
-            NoisePlanEntry {
-                row: 4,
-                delays: 5,
-                slot: 1
+            let mut acc = vec![0.0f32; dim];
+            let draws: Vec<(u64, f32)> = if ans {
+                vec![(iter, aggregated_std(per_step_std, delays))]
+            } else {
+                (iter - delays + 1..=iter)
+                    .map(|k| (k, per_step_std))
+                    .collect()
+            };
+            for (k, std) in draws {
+                noise.fill_unit(table_id, row, k, &mut unit);
+                for (a, &n) in acc.iter_mut().zip(&unit) {
+                    *a += std * n;
+                }
+                counters.gaussian_samples += dim as u64;
             }
-        );
-        assert_eq!(update.indices(), &[1, 4]);
-        assert_eq!(c.history_reads, 3);
-        assert_eq!(c.history_writes, 3);
+            let slot = match update.indices()[..sorted_len].binary_search(&row) {
+                Ok(i) => i,
+                Err(_) => {
+                    let i = update.len();
+                    let _ = update.push_zeros(row);
+                    i
+                }
+            };
+            for (w, &a) in update.entry_mut(slot).iter_mut().zip(&acc) {
+                *w += a;
+            }
+        }
     }
 
     #[test]
-    fn for_all_rows_plans_every_pending_row() {
+    fn flush_plans_only_pending_targets_and_merges_them() {
+        let raw: Vec<u32> = (0..8).map(|r| if r == 2 { 5 } else { 0 }).collect();
+        let mut h = ShardedHistory::from_raw_global(&raw, 1); // row 2 flushed at 5
+        let mut update = SparseGrad::from_entries(2, vec![(1, vec![1.0, 1.0])]);
+        let _ = update.coalesce();
+        let mut c = KernelCounters::new();
+        let mut flush = LookaheadFlush::default();
+        let noise = CounterNoise::new(3);
+        flush.run(
+            0,
+            5,
+            &[1, 2, 4],
+            &mut h,
+            2,
+            0.5,
+            true,
+            &noise,
+            &Executor::new(1),
+            &mut c,
+        );
+        flush.merge_into(&mut update);
+        // Row 2 owes nothing at iter 5; rows 1 and 4 owe 5 each, and
+        // row 4, absent from the gradient, is appended.
+        assert_eq!(update.indices(), &[1, 4]);
+        assert_eq!(c.history_reads, 3);
+        assert_eq!(c.history_writes, 3);
+        assert_eq!(c.gaussian_samples, 2 * 2);
+        assert!(h.pending_rows(5).iter().all(|r| ![1, 2, 4].contains(r)));
+    }
+
+    #[test]
+    fn for_all_rows_of_shard_plans_every_pending_row() {
         let mut h = history_at(4, &[(1, 3), (3, 7)]);
         let mut c = KernelCounters::new();
-        let plan = NoisePlan::for_all_rows(0, 7, 4, &mut h, &mut c);
+        let spec = ShardSpec::new(1);
+        let plan = NoisePlan::for_all_rows_of_shard(7, spec, 0, &mut h, &mut c);
         let rows: Vec<u64> = plan.entries().iter().map(|e| e.row).collect();
         let delays: Vec<u64> = plan.entries().iter().map(|e| e.delays).collect();
         assert_eq!(rows, vec![0, 1, 2]); // row 3 is current
@@ -597,108 +390,46 @@ mod tests {
         assert_eq!(c.history_reads, 4);
         assert_eq!(c.history_writes, 3);
         // Idempotent: a second scan owes nothing.
-        let again = NoisePlan::for_all_rows(0, 7, 4, &mut h, &mut c);
-        assert!(again.is_empty());
+        let again = NoisePlan::for_all_rows_of_shard(7, spec, 0, &mut h, &mut c);
+        assert!(again.entries().is_empty());
     }
 
     #[test]
-    fn sample_noise_is_thread_count_independent() {
+    fn sample_entries_is_thread_count_independent() {
         let entries: Vec<NoisePlanEntry> = (0..100)
             .map(|k| NoisePlanEntry {
-                row: k as u64 * 3,
-                delays: 1 + (k as u64 % 7),
-                slot: k,
+                row: k * 3,
+                delays: 1 + (k % 7),
             })
             .collect();
-        let mut noise = CounterNoise::new(11);
+        let noise = CounterNoise::new(11);
         for ans in [true, false] {
-            let mut c = KernelCounters::new();
-            let base = NoisePlan::sample_entries(
-                2,
-                9,
-                &entries,
-                8,
-                0.25,
-                ans,
-                &mut noise,
-                &Executor::new(1),
-                &mut c,
-            );
+            let base = sample(&entries, 8, ans, &noise, 1);
             for threads in [2usize, 3, 8] {
-                let mut c2 = KernelCounters::new();
-                let got = NoisePlan::sample_entries(
-                    2,
-                    9,
-                    &entries,
-                    8,
-                    0.25,
-                    ans,
-                    &mut noise,
-                    &Executor::new(threads),
-                    &mut c2,
-                );
+                let got = sample(&entries, 8, ans, &noise, threads);
                 assert_eq!(base, got, "ans={ans}, threads={threads}");
-                assert_eq!(c.gaussian_samples, c2.gaussian_samples);
             }
         }
     }
 
     #[test]
-    fn stateful_sources_sample_sequentially_with_advancing_state() {
-        // A non-addressable source must not be cloned per chunk (that
-        // would repeat the same stream): entries get distinct draws and
-        // the caller's stream state advances across calls.
-        use lazydp_rng::{SequentialNoise, Xoshiro256PlusPlus};
-        let entries: Vec<NoisePlanEntry> = (0..80)
-            .map(|k| NoisePlanEntry {
-                row: k as u64,
-                delays: 1,
-                slot: k,
-            })
-            .collect();
-        let mut noise = SequentialNoise::new(Xoshiro256PlusPlus::seed_from(2));
-        let mut c = KernelCounters::new();
-        let exec = Executor::new(4);
-        let first =
-            NoisePlan::sample_entries(0, 1, &entries, 4, 1.0, true, &mut noise, &exec, &mut c);
-        for pair in first.chunks(4).take(8).collect::<Vec<_>>().windows(2) {
-            assert_ne!(pair[0], pair[1], "rows must not share draws");
-        }
-        let second =
-            NoisePlan::sample_entries(0, 2, &entries, 4, 1.0, true, &mut noise, &exec, &mut c);
-        assert_ne!(first, second, "stream state must advance across calls");
-    }
-
-    #[test]
     fn sample_counts_draws_per_algorithm_variant() {
         let entries = [
-            NoisePlanEntry {
-                row: 0,
-                delays: 4,
-                slot: 0,
-            },
-            NoisePlanEntry {
-                row: 7,
-                delays: 2,
-                slot: 1,
-            },
+            NoisePlanEntry { row: 0, delays: 4 },
+            NoisePlanEntry { row: 7, delays: 2 },
         ];
-        let mut noise = CounterNoise::new(1);
-        let exec = Executor::sequential();
-        let mut c = KernelCounters::new();
-        let _ = NoisePlan::sample_entries(0, 5, &entries, 3, 0.1, true, &mut noise, &exec, &mut c);
-        assert_eq!(c.gaussian_samples, 2 * 3, "ANS: one draw per row");
-        let mut c = KernelCounters::new();
-        let _ = NoisePlan::sample_entries(0, 5, &entries, 3, 0.1, false, &mut noise, &exec, &mut c);
-        assert_eq!(c.gaussian_samples, (4 + 2) * 3, "w/o ANS: delays draws");
+        let noise = CounterNoise::new(1);
+        let (_, with_ans) = sample(&entries, 3, true, &noise, 1);
+        assert_eq!(with_ans, 2 * 3, "ANS: one draw per row");
+        let (_, without) = sample(&entries, 3, false, &noise, 1);
+        assert_eq!(without, (4 + 2) * 3, "w/o ANS: delays draws");
     }
 
     #[test]
     fn sharded_flush_matches_the_monolithic_path_bitwise() {
-        // The 1-shard reference: for_next_rows + sample_noise, applied
-        // through plan slots (exactly what the pre-sharding optimizer
-        // did), must agree per-row with merge_into for every shard
-        // count — same entries, same noise, same counters.
+        // The per-row oracle on a monolithic history must agree per-row
+        // with the flush for every shard count — same entries, same
+        // noise, same counters.
         let rows = 40usize;
         let dim = 6usize;
         let iter = 9u64;
@@ -717,26 +448,20 @@ mod tests {
         let mut noise = CounterNoise::new(17);
 
         // Reference path.
-        let mut ref_hist = HistoryTable::new(rows);
-        for &(r, it) in flushed {
-            let _ = ref_hist.take_delays(r, it);
-        }
+        let mut ref_hist = history_at(rows, flushed);
         let mut ref_update = mk_update();
         let mut ref_c = KernelCounters::new();
-        let plan = NoisePlan::for_next_rows(
+        oracle_flush(
             2,
             iter,
             &targets,
             &mut ref_hist,
+            0.3,
+            true,
+            &mut noise,
             &mut ref_update,
             &mut ref_c,
         );
-        let buf = plan.sample_noise(dim, 0.3, true, &mut noise, &Executor::new(3), &mut ref_c);
-        for (e, nv) in plan.entries().iter().zip(buf.chunks_exact(dim)) {
-            for (w, &n) in ref_update.entry_mut(e.slot).iter_mut().zip(nv.iter()) {
-                *w += n;
-            }
-        }
         let want = ref_update.to_dense_map();
 
         for shards in [1usize, 2, 4, 8] {
@@ -746,7 +471,8 @@ mod tests {
             let mut hist = ShardedHistory::from_raw_global(&raw, shards);
             let mut update = mk_update();
             let mut c = KernelCounters::new();
-            let flush = flush_next_rows_sharded(
+            let mut flush = LookaheadFlush::default();
+            flush.run(
                 2,
                 iter,
                 &targets,
@@ -785,12 +511,10 @@ mod tests {
         // same (row, delays) set as one monolithic scan.
         let rows = 17usize;
         let flushed: &[(u64, u64)] = &[(1, 3), (8, 7), (16, 2)];
-        let mut mono = HistoryTable::new(rows);
-        for &(r, it) in flushed {
-            let _ = mono.take_delays(r, it);
-        }
+        let mut mono = history_at(rows, flushed);
         let mut c_mono = KernelCounters::new();
-        let want = NoisePlan::for_all_rows(0, 7, rows, &mut mono, &mut c_mono);
+        let want =
+            NoisePlan::for_all_rows_of_shard(7, ShardSpec::new(1), 0, &mut mono, &mut c_mono);
         let mut want_pairs: Vec<(u64, u64)> =
             want.entries().iter().map(|e| (e.row, e.delays)).collect();
         want_pairs.sort_unstable();
@@ -803,7 +527,7 @@ mod tests {
         let mut c_sh = KernelCounters::new();
         let mut got_pairs: Vec<(u64, u64)> = Vec::new();
         for (s, shard) in sharded.shards_mut().iter_mut().enumerate() {
-            let plan = NoisePlan::for_all_rows_of_shard(0, 7, spec, s, shard, &mut c_sh);
+            let plan = NoisePlan::for_all_rows_of_shard(7, spec, s, shard, &mut c_sh);
             got_pairs.extend(plan.entries().iter().map(|e| (e.row, e.delays)));
         }
         got_pairs.sort_unstable();
@@ -816,16 +540,20 @@ mod tests {
         // A row with 2 pending delays at iter 5 must receive exactly the
         // noise of iterations 4 and 5 — what eager DP-SGD would have
         // drawn.
-        let entries = [NoisePlanEntry {
-            row: 3,
-            delays: 2,
-            slot: 0,
-        }];
+        let entries = [NoisePlanEntry { row: 3, delays: 2 }];
         let mut noise = CounterNoise::new(5);
-        let exec = Executor::sequential();
-        let mut c = KernelCounters::new();
-        let got =
-            NoisePlan::sample_entries(1, 5, &entries, 4, 1.0, false, &mut noise, &exec, &mut c);
+        let mut got = Vec::new();
+        let _ = NoisePlan::sample_entries(
+            1,
+            5,
+            &entries,
+            4,
+            1.0,
+            false,
+            &noise,
+            &Executor::sequential(),
+            &mut got,
+        );
         let mut expect = vec![0.0f32; 4];
         let mut buf = vec![0.0f32; 4];
         for it in [4u64, 5] {

@@ -10,19 +10,21 @@
 //! laptop, drawing real Box–Muller noise and producing a row-exact
 //! model for every row it ever touches.
 //!
-//! [`TerabyteLazyEmbedding`] packages that loop: the real
-//! [`HistoryTable`] (751 MB at paper scale, exactly §7.2's number), real
-//! ANS draws, real sparse updates. Untouched rows remain pure functions
-//! of the seed; their pending noise is deterministic bookkeeping that
+//! [`TerabyteLazyEmbedding`] packages that loop: the real history (751
+//! MB at paper scale, exactly §7.2's number), real ANS draws, real
+//! sparse updates, all through the same [`LookaheadFlush`] as
+//! `LazyDpOptimizer`. Untouched rows remain pure functions of the seed;
+//! their pending noise is deterministic bookkeeping that
 //! [`flush_row`](TerabyteLazyEmbedding::flush_row) can settle for any
 //! row on demand (a full-table flush is exactly the dense sweep LazyDP
 //! exists to avoid, so it is intentionally not offered at this scale).
 
-use crate::ans::aggregated_std;
-use crate::history::HistoryTable;
+use crate::history::ShardedHistory;
+use crate::plan::LookaheadFlush;
 use lazydp_dpsgd::{DpConfig, KernelCounters};
-use lazydp_embedding::sparse::dedup_indices;
+use lazydp_embedding::sparse::dedup_indices_into;
 use lazydp_embedding::{SparseGrad, VirtualTable};
+use lazydp_exec::Executor;
 use lazydp_rng::RowNoise;
 
 /// One embedding table trained with LazyDP's lazy noise update at
@@ -30,17 +32,19 @@ use lazydp_rng::RowNoise;
 #[derive(Debug, Clone)]
 pub struct TerabyteLazyEmbedding<N> {
     table: VirtualTable,
-    history: HistoryTable,
+    history: ShardedHistory,
     cfg: DpConfig,
     ans: bool,
     noise: N,
     table_id: u32,
     iter: u64,
     counters: KernelCounters,
+    targets: Vec<u64>,
+    flush: LookaheadFlush,
 }
 
 impl<N: RowNoise> TerabyteLazyEmbedding<N> {
-    /// Creates the trainer. Allocates the HistoryTable eagerly
+    /// Creates the trainer. Allocates the history eagerly
     /// (`4 B × logical_rows` — 751 MB for the paper's 187.7 M rows,
     /// §7.2), which is the *only* O(table) allocation LazyDP needs.
     ///
@@ -51,7 +55,7 @@ impl<N: RowNoise> TerabyteLazyEmbedding<N> {
     pub fn new(table: VirtualTable, cfg: DpConfig, ans: bool, noise: N, table_id: u32) -> Self {
         let rows = usize::try_from(table.logical_rows()).expect("rows fit usize");
         Self {
-            history: HistoryTable::new(rows),
+            history: ShardedHistory::new(rows, cfg.shards),
             table,
             cfg,
             ans,
@@ -59,6 +63,8 @@ impl<N: RowNoise> TerabyteLazyEmbedding<N> {
             table_id,
             iter: 0,
             counters: KernelCounters::new(),
+            targets: Vec::new(),
+            flush: LookaheadFlush::default(),
         }
     }
 
@@ -80,46 +86,27 @@ impl<N: RowNoise> TerabyteLazyEmbedding<N> {
         self.iter
     }
 
-    /// HistoryTable bytes (the §7.2 overhead, for real this time).
+    /// History bytes (the §7.2 overhead, for real this time).
     #[must_use]
     pub fn history_bytes(&self) -> u64 {
         self.history.bytes()
     }
 
-    /// One LazyDP training iteration on this table: applies the
-    /// (already clipped & scaled) sparse gradient of the current batch
-    /// and the pending noise of the next batch's rows (Algorithm 1
-    /// lines 11–25).
+    /// One LazyDP training iteration on this table: merges the
+    /// (already clipped & scaled, coalesced) sparse gradient of the
+    /// current batch with the pending noise of the next batch's rows and
+    /// applies them as one sparse update (Algorithm 1 lines 11–25).
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch or out-of-range rows.
+    /// Panics on dimension mismatch, out-of-range rows, or a gradient
+    /// that is not coalesced.
     pub fn step(&mut self, grad: &SparseGrad, next_indices: &[u64]) {
         self.iter += 1;
-        let dim = self.table.dim();
-        assert_eq!(grad.dim(), dim, "grad dim mismatch");
-        let lr = self.cfg.lr;
-        let std = self.cfg.noise_std_per_coord();
-
-        // Gradient rows (current batch).
-        self.table.sparse_update(grad, lr);
-        self.counters.table_rows_read += grad.len() as u64;
-        self.counters.table_rows_written += grad.len() as u64;
-
-        // Lazy noise for next batch's rows.
-        let (targets, dups) = dedup_indices(next_indices);
-        self.counters.duplicates_removed += dups as u64;
-        for idx in targets {
-            self.counters.history_reads += 1;
-            self.counters.history_writes += 1;
-            let delays = self.history.take_delays(idx, self.iter);
-            if delays == 0 {
-                continue;
-            }
-            self.settle_row(idx, delays, lr, std);
-            self.counters.table_rows_read += 1;
-            self.counters.table_rows_written += 1;
-        }
+        assert!(grad.is_coalesced(), "gradient must be coalesced");
+        self.counters.duplicates_removed +=
+            dedup_indices_into(next_indices, &mut self.targets) as u64;
+        self.settle(grad.clone());
         self.counters.steps += 1;
     }
 
@@ -127,37 +114,31 @@ impl<N: RowNoise> TerabyteLazyEmbedding<N> {
     /// prediction from it, or when releasing a row-slice of the model).
     /// Returns the row's post-flush value.
     pub fn flush_row(&mut self, idx: u64) -> Vec<f32> {
-        let lr = self.cfg.lr;
-        let std = self.cfg.noise_std_per_coord();
-        let delays = self.history.take_delays(idx, self.iter);
-        if delays > 0 {
-            self.settle_row(idx, delays, lr, std);
-            self.counters.table_rows_written += 1;
-        }
+        self.targets.clear();
+        self.targets.push(idx);
+        self.settle(SparseGrad::new(self.table.dim()));
         self.table.read_row(idx)
     }
 
-    /// Applies row `idx`'s `delays` pending noise updates, each draw
-    /// applied as it is sampled.
-    fn settle_row(&mut self, idx: u64, delays: u64, lr: f32, std: f32) {
-        let row = self.table.row_mut(idx);
-        let dim = row.len();
-        if self.ans {
-            let agg = aggregated_std(std, delays);
-            self.noise
-                .apply_unit(self.table_id, idx, self.iter, row, |_, w, n| {
-                    *w -= lr * agg * n;
-                });
-            self.counters.gaussian_samples += dim as u64;
-        } else {
-            for k in (self.iter - delays + 1)..=self.iter {
-                self.noise
-                    .apply_unit(self.table_id, idx, k, row, |_, w, n| {
-                        *w -= lr * std * n;
-                    });
-                self.counters.gaussian_samples += dim as u64;
-            }
-        }
+    /// Flushes the pending noise of `self.targets` into `update` and
+    /// applies it with one sparse update.
+    fn settle(&mut self, mut update: SparseGrad) {
+        self.flush.run(
+            self.table_id,
+            self.iter,
+            &self.targets,
+            &mut self.history,
+            self.table.dim(),
+            self.cfg.noise_std_per_coord(),
+            self.ans,
+            &self.noise,
+            &Executor::new(self.cfg.threads),
+            &mut self.counters,
+        );
+        self.flush.merge_into(&mut update);
+        self.table.sparse_update(&update, self.cfg.lr);
+        self.counters.table_rows_read += update.len() as u64;
+        self.counters.table_rows_written += update.len() as u64;
     }
 
     /// Gaussian draws an *eager* DP-SGD would have performed so far on
@@ -269,7 +250,7 @@ mod tests {
             let a = model.tables[0].row(r as usize);
             let b = scale.table().read_row(r);
             for (x, y) in a.iter().zip(b.iter()) {
-                assert!((x - y).abs() < 1e-6, "row {r}: {x} vs {y}");
+                assert_eq!(x.to_bits(), y.to_bits(), "row {r}: {x} vs {y}");
             }
         }
     }

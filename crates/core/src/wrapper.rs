@@ -49,7 +49,7 @@ pub struct PrivateTrainer<L, O, T: EmbeddingStorage = EmbeddingTable> {
 impl<S, N, T> PrivateTrainer<LookaheadLoader<S>, LazyDpOptimizer<N>, T>
 where
     S: BatchSource,
-    N: RowNoise + Clone + Send + Sync,
+    N: RowNoise,
     T: EmbeddingStorage,
 {
     /// Wraps a model, batch source, and noise source into a LazyDP
@@ -94,7 +94,7 @@ where
 impl<S, N> PrivateTrainer<LookaheadLoader<S>, LazyDpOptimizer<N>, StoredTable>
 where
     S: BatchSource,
-    N: RowNoise + Clone + Send + Sync,
+    N: RowNoise,
 {
     /// [`make_private`](PrivateTrainer::make_private) with **disk-backed
     /// embedding tables**: the in-memory model's tables are spilled to
@@ -130,9 +130,7 @@ where
     }
 }
 
-impl<N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage>
-    PrivateTrainer<PrefetchLoader, LazyDpOptimizer<N>, T>
-{
+impl<N: RowNoise, T: EmbeddingStorage> PrivateTrainer<PrefetchLoader, LazyDpOptimizer<N>, T> {
     /// [`make_private`](PrivateTrainer::make_private) with the
     /// asynchronous double-buffered input pipeline: batches are
     /// generated on a background thread and the next batch's indices
@@ -161,9 +159,7 @@ impl<N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage>
     }
 }
 
-impl<N: RowNoise + Clone + Send + Sync>
-    PrivateTrainer<PrefetchLoader, LazyDpOptimizer<N>, StoredTable>
-{
+impl<N: RowNoise> PrivateTrainer<PrefetchLoader, LazyDpOptimizer<N>, StoredTable> {
     /// The full out-of-core pipeline: disk-backed embedding tables
     /// (see [`make_private_stored`](PrivateTrainer::make_private_stored))
     /// **and** the async input pipeline, whose
@@ -203,7 +199,7 @@ fn store_model(model: Dlrm, cfg: &LazyDpConfig) -> io::Result<Dlrm<StoredTable>>
     Ok(model.try_map_tables(|_, t| StoredTable::from_dense(&t, &storage))?)
 }
 
-impl<L: LookaheadSource, N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage>
+impl<L: LookaheadSource, N: RowNoise, T: EmbeddingStorage>
     PrivateTrainer<L, LazyDpOptimizer<N>, T>
 {
     /// [`make_private`](PrivateTrainer::make_private) over an
@@ -228,7 +224,7 @@ impl<L: LookaheadSource, N: RowNoise + Clone + Send + Sync, T: EmbeddingStorage>
 impl<S, N, T> PrivateTrainer<LookaheadLoader<S>, AdaFestOptimizer<N>, T>
 where
     S: BatchSource,
-    N: RowNoise + Clone + Send + Sync,
+    N: RowNoise,
     T: EmbeddingStorage,
 {
     /// [`make_private`](PrivateTrainer::make_private) for **DP-AdaFEST**

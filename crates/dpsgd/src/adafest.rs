@@ -209,11 +209,9 @@ pub fn select_partitions_into<N: RowNoise>(
 /// the stride `p, p+S, p+2S, …` under the `row mod S` scheme), so the
 /// per-step cost is `O(selected partitions · partition rows)`, not
 /// `O(table rows)`. Each row's update is independent and its noise is
-/// addressed by `(table, row, iter)`, so for addressable sources the
-/// visit order is immaterial and every selected row's update is bitwise
-/// that of [`dense_noisy_update`](crate::noise_update::dense_noisy_update)
-/// (for stream sources like `SequentialNoise` — only distributionally
-/// equivalent by contract — the draw order is partition-major).
+/// a pure function of `(table, row, iter)`, so the visit order is
+/// immaterial and every selected row's update is bitwise that of
+/// [`dense_noisy_update`](crate::noise_update::dense_noisy_update).
 ///
 /// # Panics
 ///
@@ -307,7 +305,7 @@ pub struct AdaFestOptimizer<N> {
     scratch: AdaFestScratch,
 }
 
-impl<N: RowNoise + Clone + Send + Sync> AdaFestOptimizer<N> {
+impl<N: RowNoise> AdaFestOptimizer<N> {
     /// Creates an AdaFEST optimizer.
     #[must_use]
     pub fn new(cfg: AdaFestConfig, noise: N) -> Self {
@@ -367,7 +365,7 @@ impl<N: RowNoise + Clone + Send + Sync> AdaFestOptimizer<N> {
     }
 }
 
-impl<T: EmbeddingStorage, N: RowNoise + Clone + Send + Sync> Optimizer<T> for AdaFestOptimizer<N> {
+impl<T: EmbeddingStorage, N: RowNoise> Optimizer<T> for AdaFestOptimizer<N> {
     fn name(&self) -> &'static str {
         "DP-AdaFEST"
     }

@@ -19,19 +19,19 @@ pub struct DpConfig {
     /// are governed separately by the process-global width
     /// (`lazydp_exec::global_threads` / `LAZYDP_THREADS`), not by this
     /// field. Every kernel is chunk-addressed on the `lazydp_exec`
-    /// executor, so with an addressable noise source the trained model
-    /// is bitwise identical for any value here. [`new`](Self::new)
-    /// defaults it to [`lazydp_exec::global_threads`].
+    /// executor and every noise source is a pure function of the
+    /// `(table, row, iter)` address, so the trained model is bitwise
+    /// identical for any value here. [`new`](Self::new) defaults it to
+    /// [`lazydp_exec::global_threads`].
     pub threads: usize,
     /// Hash-partition shard count `S` for the sparse embedding state
     /// (LazyDP's `ShardedHistory` bookkeeping and pending-noise flush;
-    /// rows are assigned shard `row mod S`). Shards flush concurrently,
-    /// each using the executor width left over by the fan-out
+    /// rows are assigned shard `row mod S`). Shards sample their rows'
+    /// pending noise concurrently, each using the executor width left
+    /// over by the fan-out
     /// (`threads / S`, so `S = 1` keeps full thread-parallel sampling);
     /// like `threads`, the trained model is bitwise identical for any
-    /// value when the noise source is addressable (non-addressable
-    /// sources fall back to the 1-shard sequential path). Defaults
-    /// to 1.
+    /// value. Defaults to 1.
     pub shards: usize,
 }
 

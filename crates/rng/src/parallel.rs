@@ -64,41 +64,29 @@ pub const DENSE_NOISE_CHUNK: usize = 16_384;
 ///
 /// `xs` is cut into [`DENSE_NOISE_CHUNK`]-element chunks, each drawn from
 /// its own `(param, iter, offset)` address through
-/// [`RowNoise::apply_unit_dense`]. An
-/// [`addressable`](RowNoise::addressable) source runs the chunks over an
-/// [`Executor`] of `threads` workers, each on a clone of `noise`; since a
-/// chunk's noise is a pure function of its address, the result is the
-/// same for any `threads`. A stateful source draws the chunks in order
-/// on `noise` itself.
+/// [`RowNoise::apply_unit_dense`] on a clone of `noise`, over an
+/// [`Executor`] of `threads` workers (inline at one). A chunk's noise is
+/// a pure function of its address, so the result is the same for any
+/// `threads`.
 ///
 /// # Panics
 ///
-/// Panics if `threads == 0` and `noise` is addressable.
-pub fn par_apply_dense_noise<N>(
-    noise: &mut N,
+/// Panics if `threads == 0`.
+pub fn par_apply_dense_noise<N: RowNoise>(
+    noise: &N,
     param: u32,
     iter: u64,
     offset: u64,
     xs: &mut [f32],
     threads: usize,
     f: impl Fn(&mut f32, f32) + Sync,
-) where
-    N: RowNoise + Clone + Send + Sync,
-{
-    let chunk = |noise: &mut N, c: usize, piece: &mut [f32]| {
+) {
+    Executor::new(threads).par_for(xs, DENSE_NOISE_CHUNK, |c, piece| {
         let at = offset + (c * DENSE_NOISE_CHUNK) as u64;
-        noise.apply_unit_dense(param, iter, at, piece, |_, x, n| f(x, n));
-    };
-    if noise.addressable() {
-        let shared = &*noise;
-        Executor::new(threads).par_for(xs, DENSE_NOISE_CHUNK, |c, piece| {
-            chunk(&mut shared.clone(), c, piece);
-        });
-    } else {
-        for (c, piece) in xs.chunks_mut(DENSE_NOISE_CHUNK).enumerate() {
-            chunk(noise, c, piece);
-        }
-    }
+        noise
+            .clone()
+            .apply_unit_dense(param, iter, at, piece, |_, x, n| f(x, n));
+    });
 }
 
 #[cfg(test)]
@@ -181,8 +169,8 @@ mod tests {
         let len = 3 * DENSE_NOISE_CHUNK + 77;
         let apply = |threads: usize| {
             let mut xs = vec![1.0f32; len];
-            let mut noise = CounterNoise::new(4);
-            par_apply_dense_noise(&mut noise, 2, 9, 5, &mut xs, threads, |x, n| {
+            let noise = CounterNoise::new(4);
+            par_apply_dense_noise(&noise, 2, 9, 5, &mut xs, threads, |x, n| {
                 *x -= 0.5 * n;
             });
             xs

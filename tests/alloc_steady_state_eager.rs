@@ -3,8 +3,9 @@
 //! The `EagerScratch` refactor's contract: with the ghost-clipping
 //! (`Fast`) style, a single noise thread, and in-memory tables, an
 //! `EagerDpSgd::step` allocates **zero** heap bytes once warm-up has
-//! sized the scratch — the dense noisy update (`dense_noisy_update`)
-//! applies each sample as it is drawn and needs no buffer at all. (The
+//! sized the scratch — the dense noisy update (`par_dense_noisy_update`,
+//! inline at one thread) applies each sample as it is drawn and needs no
+//! buffer at all. (The
 //! (B) and (R) styles materialize per-example state and are exempt by
 //! design.) See `alloc_common` for the harness; this file holds exactly
 //! one test so no concurrent thread pollutes the counters.

@@ -9,8 +9,9 @@
 //! * **mid-step** — the dense half of an optimizer step has landed, the
 //!   sparse half has not;
 //! * **mid-flush** — the lazy-noise flush for the next batch's rows is
-//!   partially applied (fires on the overlap worker thread, so this
-//!   also proves the panic payload survives the join);
+//!   partially applied (fires inline at one thread and one shard, and on
+//!   the overlap worker thread otherwise, so this also proves the panic
+//!   payload survives the join);
 //! * **mid-checkpoint** — the checkpoint file is written and synced but
 //!   not yet atomically renamed into place;
 //!
@@ -233,12 +234,6 @@ fn grid(site: Site) {
     let reference = reference_model(&model0, &batches);
     for threads in [1usize, 4] {
         for shards in [1usize, 4] {
-            // The mid-flush point lives on the sharded overlap path,
-            // which a 1-thread 1-shard run never takes (it flushes
-            // inline with the gather) — there is no flush to tear.
-            if site == Site::MidFlush && threads == 1 && shards == 1 {
-                continue;
-            }
             for stored in [false, true] {
                 let released = kill_and_resume(site, threads, shards, stored, &model0, &batches);
                 assert_bitwise(
