@@ -72,6 +72,10 @@ fn stored_run(
     let _serial = RUN_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // Fault plans are process-global: the `faults` experiment installs a
+    // dead spill device while it holds this lock, and a run overlapping
+    // it would die on that plan's injected write failure.
+    let _faults = lazydp_fault::exclusive();
     let cfg = LazyDpConfig::new(DpConfig::paper_default(batch), true).with_storage(storage);
     let loader = FixedBatchLoader::new(ds.clone(), batch);
     let before = lazydp_obs::snapshot::capture_metrics();

@@ -13,9 +13,9 @@
 //! below demonstrate both the correct round-trip and that failure mode.
 //!
 //! The format is a simple little-endian binary stream (no external
-//! serialization dependency), versioned and magic-tagged. Version 2
-//! appends an FNV-1a-64 checksum over the whole payload: any flipped or
-//! truncated byte surfaces as a typed `InvalidData` error at load —
+//! serialization dependency), versioned and magic-tagged. The stream
+//! ends in a word-wide checksum (`lazydp_fault::checksum::word_fnv64`)
+//! over the whole payload: any flipped or truncated byte surfaces as a typed `InvalidData` error at load —
 //! never a panic, never a silent load of torn state. Crash-consistent
 //! *placement* of these bytes (temp file + `sync_all` + atomic rename +
 //! versioned manifest) lives in [`crate::recovery`].
@@ -23,20 +23,22 @@
 use crate::history::ShardedHistory;
 use crate::optimizer::{LazyDpConfig, LazyDpOptimizer};
 use lazydp_embedding::EmbeddingStorage;
-use lazydp_fault::checksum::fnv1a64;
+use lazydp_fault::checksum::word_fnv64;
 use lazydp_model::{Dlrm, DlrmConfig, InteractionKind};
 use lazydp_rng::RowNoise;
 use lazydp_store::{StorageConfig, StoredTable};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"LAZYDP\x01\x00";
-/// Format version. 3 marks the `f32` Box–Muller kernel: a v2 file holds
+/// Format version. 3 marked the `f32` Box–Muller kernel: a v2 file holds
 /// state trained on the earlier noise stream, so resuming it would mix
-/// two streams in one run, and it is refused as unsupported.
-const VERSION: u32 = 3;
+/// two streams in one run. 4 moved the payload trailer from byte-serial
+/// FNV-1a to [`word_fnv64`], so a v3 trailer no longer verifies. Older
+/// versions are refused as unsupported.
+const VERSION: u32 = 4;
 /// Bytes before the checksummed payload: magic + version word.
 const HEADER_LEN: usize = 12;
-/// The FNV-1a-64 payload checksum trailing the stream.
+/// The [`word_fnv64`] payload checksum trailing the stream.
 const TRAILER_LEN: usize = 8;
 
 // ---------- primitive IO helpers ----------------------------------------
@@ -266,8 +268,8 @@ impl Checkpoint {
         LazyDpOptimizer::from_state(cfg, noise, history, self.iteration)
     }
 
-    /// Serializes to a writer (the version-2 stream: header, payload,
-    /// FNV-1a-64 payload checksum trailer).
+    /// Serializes to a writer (header, payload, [`word_fnv64`] payload
+    /// checksum trailer).
     ///
     /// # Errors
     ///
@@ -330,7 +332,7 @@ impl Checkpoint {
             w_u32s(w, h).expect(ok);
         }
         // Trailer: checksum over everything after the header.
-        let sum = fnv1a64(&out[HEADER_LEN..]);
+        let sum = word_fnv64(&out[HEADER_LEN..]);
         out.extend_from_slice(&sum.to_le_bytes());
         out
     }
@@ -371,7 +373,7 @@ impl Checkpoint {
         let (payload, trailer) =
             bytes[HEADER_LEN..].split_at(bytes.len() - HEADER_LEN - TRAILER_LEN);
         let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-        let computed = fnv1a64(payload);
+        let computed = word_fnv64(payload);
         if stored != computed {
             return Err(bad("checkpoint payload checksum mismatch"));
         }

@@ -8,7 +8,8 @@
 //! 2. `sync_all` forces it to the device,
 //! 3. an atomic `rename` publishes it as `ckpt-<iteration>.bin`,
 //! 4. the **manifest** (itself updated by the same tmp+sync+rename dance)
-//!    appends a `<iteration> <len> <fnv64> <file>` record.
+//!    appends a `<iteration> <len> <checksum> <file>` record (the
+//!    checksum is `lazydp_fault::checksum::word_fnv64` of the file).
 //!
 //! A crash before the rename leaves only a `*.tmp` the sweep removes; a
 //! crash between rename and manifest update leaves an unlisted
@@ -27,7 +28,7 @@
 //! between writing and publishing.
 
 use crate::checkpoint::Checkpoint;
-use lazydp_fault::checksum::fnv1a64;
+use lazydp_fault::checksum::word_fnv64;
 use lazydp_fault::{FaultKind, InjectedKill, Site};
 use std::fs::File;
 use std::io::{self, Write};
@@ -214,7 +215,7 @@ impl CheckpointStore {
         self.entries.push(ManifestEntry {
             iteration: ck.iteration,
             len: bytes.len() as u64,
-            checksum: fnv1a64(&bytes),
+            checksum: word_fnv64(&bytes),
             file,
         });
         if let Err(e) = self.write_manifest() {
@@ -245,7 +246,7 @@ impl CheckpointStore {
             let Ok(bytes) = std::fs::read(&path) else {
                 continue;
             };
-            if bytes.len() as u64 != entry.len || fnv1a64(&bytes) != entry.checksum {
+            if bytes.len() as u64 != entry.len || word_fnv64(&bytes) != entry.checksum {
                 continue;
             }
             match Checkpoint::from_bytes(&bytes) {
@@ -470,23 +471,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn version_2_checkpoint_is_refused_and_never_resumed() {
-        let dir = fresh_dir("v2");
+    /// Re-tags the newest of two saved checkpoints as format `version`
+    /// and checks it is refused at load and skipped at resume. The
+    /// payload checksum does not cover the header, and the manifest is
+    /// re-recorded to match, so the version word is the only thing that
+    /// can refuse it.
+    fn old_version_is_refused_and_never_resumed(version: u32) {
+        let dir = fresh_dir(&format!("v{version}"));
         let mut store = CheckpointStore::open(&dir).expect("open");
         store.save(&tiny_checkpoint(3)).expect("save");
         let newest = store.save(&tiny_checkpoint(6)).expect("save");
-        // Re-tag the newest file as v2. The payload checksum does not
-        // cover the header, and the manifest is re-recorded to match, so
-        // the version word is the only thing that can refuse it.
         let mut bytes = std::fs::read(&newest).expect("read");
-        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&newest, &bytes).expect("rewrite");
         let entry = store.entries.last_mut().expect("two entries");
         entry.len = bytes.len() as u64;
-        entry.checksum = fnv1a64(&bytes);
+        entry.checksum = word_fnv64(&bytes);
         store.write_manifest().expect("manifest");
-        let err = Checkpoint::from_bytes(&bytes).expect_err("v2 must be refused");
+        let err = Checkpoint::from_bytes(&bytes).expect_err("old version must be refused");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(
             err.to_string().contains("unsupported checkpoint version"),
@@ -494,14 +496,25 @@ mod tests {
         );
         let reopened = CheckpointStore::open(&dir).expect("reopen");
         let ck = reopened.resume_latest().expect("resume").expect("some");
-        assert_eq!(ck.iteration, 3, "must fall back past the v2 entry");
-        // With only the v2 file left, nothing is resumable.
+        assert_eq!(ck.iteration, 3, "must fall back past the v{version} entry");
+        // With only the old-version file left, nothing is resumable.
         std::fs::remove_file(dir.join("ckpt-0000000003.bin")).expect("rm");
         assert!(matches!(
             reopened.resume_latest(),
             Err(CheckpointError::NoValidCheckpoint { tried: 2 })
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_2_checkpoint_is_refused_and_never_resumed() {
+        old_version_is_refused_and_never_resumed(2);
+    }
+
+    #[test]
+    fn version_3_checkpoint_is_refused_and_never_resumed() {
+        // v3 trailers were byte-serial FNV-1a.
+        old_version_is_refused_and_never_resumed(3);
     }
 
     #[test]

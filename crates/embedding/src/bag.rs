@@ -114,12 +114,19 @@ impl EmbeddingBag {
     #[must_use]
     pub fn forward<T: EmbeddingStorage>(&self, table: &T, batch: &BagIndices) -> Matrix {
         let mut out = Matrix::zeros(0, 0);
-        self.forward_into(table, batch, &mut out);
+        self.forward_into(table, batch, &mut Matrix::zeros(0, 0), &mut out);
         out
     }
 
     /// [`forward`](Self::forward) into a caller-owned output matrix
     /// (reshaped, zeroed, and refilled; no allocation at steady state).
+    ///
+    /// The batch's rows are first fetched with one
+    /// [`gather_into`](EmbeddingStorage::gather_into) into the
+    /// caller-owned `gathered` buffer — one batch operation, so a paged
+    /// backend faults each page once — and then pooled per sample in
+    /// lookup order, the same `o += w` sequence as summing straight from
+    /// the table.
     ///
     /// # Panics
     ///
@@ -128,24 +135,26 @@ impl EmbeddingBag {
         &self,
         table: &T,
         batch: &BagIndices,
+        gathered: &mut Matrix,
         out: &mut Matrix,
     ) {
-        out.reset_zeroed(batch.batch_size(), table.dim());
+        let dim = table.dim();
+        table.gather_into(batch.flat_indices(), gathered);
+        out.reset_zeroed(batch.batch_size(), dim);
         for i in 0..batch.batch_size() {
-            let idxs = batch.sample(i);
-            if idxs.is_empty() {
+            let lo = batch.offsets[i] as usize;
+            let hi = batch.offsets[i + 1] as usize;
+            if lo == hi {
                 continue;
             }
             let row = out.row_mut(i);
-            for &idx in idxs {
-                table.with_row(idx, |trow| {
-                    for (o, &w) in row.iter_mut().zip(trow.iter()) {
-                        *o += w;
-                    }
-                });
+            for trow in gathered.as_slice()[lo * dim..hi * dim].chunks_exact(dim) {
+                for (o, &w) in row.iter_mut().zip(trow) {
+                    *o += w;
+                }
             }
             if self.pooling == Pooling::Mean {
-                let inv = 1.0 / idxs.len() as f32;
+                let inv = 1.0 / (hi - lo) as f32;
                 for o in row.iter_mut() {
                     *o *= inv;
                 }

@@ -72,16 +72,34 @@ pub trait EmbeddingStorage: std::fmt::Debug + Send + Sync {
     ///
     /// Panics if any index is out of range.
     fn gather(&self, indices: &[u64]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.dim());
+        let mut out = Matrix::zeros(0, 0);
+        self.gather_into(indices, &mut out);
+        out
+    }
+
+    /// [`gather`](Self::gather) into a caller-owned matrix, reshaped to
+    /// `indices.len() × dim` (no allocation once it has grown to fit).
+    /// Row `i` of `out` is always row `indices[i]` of the table, but a
+    /// backend may *visit* the rows in any order — a paged backend walks
+    /// them page by page so each page is faulted in once per call.
+    /// Every output row is overwritten, so `out` needs no zero-fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
+    fn gather_into(&self, indices: &[u64], out: &mut Matrix) {
+        out.reshape_for_overwrite(indices.len(), self.dim());
         for (i, &idx) in indices.iter().enumerate() {
             self.with_row(idx, |row| out.row_mut(i).copy_from_slice(row));
         }
-        out
     }
 
     /// Sparse SGD update: `row[idx] -= lr * grad_row` for every entry —
     /// identical arithmetic to [`EmbeddingTable::sparse_update`] on
-    /// every backend.
+    /// every backend. A backend may apply the entries in any order that
+    /// keeps the entries of one row in input order (a paged backend
+    /// applies them by row), so an uncoalesced gradient with repeated
+    /// rows still updates bitwise like the dense table.
     ///
     /// # Panics
     ///
@@ -137,8 +155,8 @@ impl EmbeddingStorage for EmbeddingTable {
         f(self.row_mut(usize::try_from(r).expect("row fits usize")))
     }
 
-    fn gather(&self, indices: &[u64]) -> Matrix {
-        EmbeddingTable::gather(self, indices)
+    fn gather_into(&self, indices: &[u64], out: &mut Matrix) {
+        EmbeddingTable::gather_into(self, indices, out);
     }
 
     fn sparse_update(&mut self, grad: &SparseGrad, lr: f32) {
@@ -171,8 +189,8 @@ impl EmbeddingStorage for ShardedTable {
         f(self.row_mut(r))
     }
 
-    fn gather(&self, indices: &[u64]) -> Matrix {
-        ShardedTable::gather(self, indices)
+    fn gather_into(&self, indices: &[u64], out: &mut Matrix) {
+        ShardedTable::gather_into(self, indices, out);
     }
 
     fn sparse_update(&mut self, grad: &SparseGrad, lr: f32) {
@@ -207,6 +225,10 @@ mod tests {
         }
         let idx = [0u64, 7, 3, 7];
         assert_eq!(backend.gather(&idx), reference.gather(&idx));
+        // A reused, wrongly shaped, dirty buffer is fully overwritten.
+        let mut reused = Matrix::filled(9, 1, f32::NAN);
+        backend.gather_into(&idx, &mut reused);
+        assert_eq!(reused, reference.gather(&idx));
         // Mutate through the trait, then re-read.
         let mut grad = SparseGrad::from_entries(
             reference.dim(),

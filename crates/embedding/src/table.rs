@@ -112,11 +112,23 @@ impl EmbeddingTable {
     /// Panics if any index is out of range.
     #[must_use]
     pub fn gather(&self, indices: &[u64]) -> Matrix {
-        let mut out = Matrix::zeros(indices.len(), self.dim);
+        let mut out = Matrix::zeros(0, 0);
+        self.gather_into(indices, &mut out);
+        out
+    }
+
+    /// [`gather`](Self::gather) into a caller-owned matrix, reshaped to
+    /// `indices.len() × dim` and fully overwritten (no allocation once it
+    /// has grown to fit).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any index is out of range.
+    pub fn gather_into(&self, indices: &[u64], out: &mut Matrix) {
+        out.reshape_for_overwrite(indices.len(), self.dim);
         for (i, &idx) in indices.iter().enumerate() {
             out.row_mut(i).copy_from_slice(self.row(idx as usize));
         }
-        out
     }
 
     /// Sparse SGD update: `row[idx] -= lr * grad_row` for every entry of

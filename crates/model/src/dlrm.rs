@@ -64,6 +64,9 @@ pub struct DlrmScratch {
     arena: ScratchArena,
     /// Sorted-run scratch for the embedding ghost norms.
     bag_idx: Vec<u64>,
+    /// One table's gathered lookup rows (`lookups × d`), pooled by the
+    /// embedding-bag forward.
+    gathered: Matrix,
     /// Per-layer top-MLP activation gradients stashed between the two
     /// phases of the fused clipped backward.
     top_dz: Vec<Matrix>,
@@ -341,7 +344,12 @@ impl<T: EmbeddingStorage> Dlrm<T> {
             .resize_with(1 + self.tables.len(), || Matrix::zeros(0, 0));
         cache.inter_inputs[0].copy_from(cache.bottom.output());
         for (t, table) in self.tables.iter().enumerate() {
-            self.bags[t].forward_into(table, &batch.sparse[t], &mut cache.inter_inputs[t + 1]);
+            self.bags[t].forward_into(
+                table,
+                &batch.sparse[t],
+                &mut scratch.gathered,
+                &mut cache.inter_inputs[t + 1],
+            );
         }
         // The interaction output is written straight into the top MLP's
         // input activation slot, skipping a copy.

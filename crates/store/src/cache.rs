@@ -17,12 +17,14 @@
 use crate::error::StorageError;
 use crate::pagefile::PageFile;
 use lazydp_obs::CacheCounters;
-use std::collections::HashMap;
 
 /// Frame page id meaning "belongs to no page": set when an eviction's
 /// replacement load fails after the old mapping was already removed.
 /// Can never collide with a real id — tables address pages `0..pages`.
 const ORPHAN_PAGE: usize = usize::MAX;
+
+/// Page-map entry of a page that is not resident.
+const NO_FRAME: u32 = u32::MAX;
 
 /// One resident page.
 #[derive(Debug)]
@@ -41,8 +43,8 @@ pub struct PageCache {
     capacity: usize,
     page_elems: usize,
     frames: Vec<Frame>,
-    /// page id → frame slot.
-    map: HashMap<usize, usize>,
+    /// Frame slot of each page (`0..pages`), or [`NO_FRAME`].
+    map: Vec<u32>,
     hand: usize,
     /// Per-instance counters, mirrored into the `lazydp_obs` registry
     /// (`store.*` metrics) on every record.
@@ -51,20 +53,26 @@ pub struct PageCache {
 
 impl PageCache {
     /// Creates an empty cache of at most `capacity` pages of
-    /// `page_elems` elements each.
+    /// `page_elems` elements each, fronting a file of `pages` pages.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0` or `page_elems == 0`.
+    /// Panics if `capacity == 0`, `page_elems == 0`, or `pages` does not
+    /// fit a `u32` frame slot (a frame is only ever added for a distinct
+    /// page, so slots stay below `pages`).
     #[must_use]
-    pub fn new(capacity: usize, page_elems: usize) -> Self {
+    pub fn new(capacity: usize, page_elems: usize, pages: usize) -> Self {
         assert!(capacity > 0, "cache must hold at least one page");
         assert!(page_elems > 0, "pages must be non-empty");
+        assert!(
+            pages < NO_FRAME as usize,
+            "{pages} pages overflow a u32 slot"
+        );
         Self {
             capacity,
             page_elems,
             frames: Vec::new(),
-            map: HashMap::new(),
+            map: vec![NO_FRAME; pages],
             hand: 0,
             counters: CacheCounters::new(),
         }
@@ -98,7 +106,7 @@ impl PageCache {
     ///
     /// Propagates I/O errors from the load or an eviction write-back.
     fn fault(&mut self, page: usize, file: &mut PageFile) -> Result<usize, StorageError> {
-        if let Some(&slot) = self.map.get(&page) {
+        if let Some(slot) = self.slot(page) {
             self.counters.record_hit();
             self.frames[slot].referenced = true;
             return Ok(slot);
@@ -128,7 +136,9 @@ impl PageCache {
             }
             self.counters.record_eviction();
             let evicted = self.frames[slot].page;
-            self.map.remove(&evicted);
+            if evicted != ORPHAN_PAGE {
+                self.map[evicted] = NO_FRAME;
+            }
             if let Err(e) = file.read_page(page, &mut self.frames[slot].data) {
                 // The old mapping is already gone, so on a failed load
                 // the frame's bytes belong to no page. Poison its id:
@@ -146,8 +156,16 @@ impl PageCache {
             frame.referenced = true;
             slot
         };
-        self.map.insert(page, slot);
+        self.map[page] = slot as u32;
         Ok(slot)
+    }
+
+    /// The frame slot holding `page`, if it is resident.
+    fn slot(&self, page: usize) -> Option<usize> {
+        match self.map[page] {
+            NO_FRAME => None,
+            slot => Some(slot as usize),
+        }
     }
 
     /// Clock sweep: advance the hand, clearing reference bits, until a
@@ -201,14 +219,14 @@ impl PageCache {
     /// No hit is recorded — this is for callers that already faulted
     /// the page in (and accounted the access) via [`PageCache::touch`].
     pub fn peek(&mut self, page: usize) -> Option<&[f32]> {
-        let &slot = self.map.get(&page)?;
+        let slot = self.slot(page)?;
         self.frames[slot].referenced = true;
         Some(&self.frames[slot].data)
     }
 
     /// Like [`PageCache::peek`], mutably; marks the frame dirty.
     pub fn peek_mut(&mut self, page: usize) -> Option<&mut [f32]> {
-        let &slot = self.map.get(&page)?;
+        let slot = self.slot(page)?;
         let frame = &mut self.frames[slot];
         frame.referenced = true;
         frame.dirty = true;
@@ -266,7 +284,7 @@ mod tests {
     #[test]
     fn hits_and_misses_are_counted() {
         let mut f = file(4, 2);
-        let mut c = PageCache::new(2, 2);
+        let mut c = PageCache::new(2, 2, 4);
         c.touch(0, &mut f).unwrap();
         c.touch(1, &mut f).unwrap();
         c.touch(0, &mut f).unwrap();
@@ -279,7 +297,7 @@ mod tests {
     #[test]
     fn writes_survive_eviction_round_trips() {
         let mut f = file(3, 2);
-        let mut c = PageCache::new(1, 2); // pathological 1-page cache
+        let mut c = PageCache::new(1, 2, 3); // pathological 1-page cache
         c.with_page_mut(0, &mut f, |p| p.copy_from_slice(&[1.0, 2.0]))
             .unwrap();
         c.with_page_mut(1, &mut f, |p| p.copy_from_slice(&[3.0, 4.0]))
@@ -299,7 +317,7 @@ mod tests {
     #[test]
     fn clock_gives_second_chances() {
         let mut f = file(4, 1);
-        let mut c = PageCache::new(2, 1);
+        let mut c = PageCache::new(2, 1, 4);
         c.touch(0, &mut f).unwrap(); // frames: [0*, _]
         c.touch(1, &mut f).unwrap(); // frames: [0*, 1*]
         c.touch(0, &mut f).unwrap(); // hit; 0 referenced again
@@ -318,7 +336,7 @@ mod tests {
         use lazydp_fault::{FaultKind, FaultPlan, Site};
         let _serial = lazydp_fault::exclusive();
         let mut f = file(4, 1);
-        let mut c = PageCache::new(2, 1);
+        let mut c = PageCache::new(2, 1, 4);
         c.with_page_mut(0, &mut f, |p| p[0] = 10.0).unwrap(); // read #0
         c.touch(1, &mut f).unwrap(); // read #1, cache full
                                      // Fail the next load (read #2): page 0 is evicted (written
@@ -332,7 +350,7 @@ mod tests {
         // Page 0 comes back into the *other* frame and is updated...
         c.with_page_mut(0, &mut f, |p| p[0] = 20.0).unwrap();
         // ...then the orphan slot is recycled. Before the orphan id was
-        // poisoned, this eviction did `map.remove(&0)` — unmapping the
+        // poisoned, this eviction unmapped page 0 — unmapping the
         // LIVE page-0 frame and stranding its dirty update, so later
         // reads resurrected the stale file copy.
         c.touch(3, &mut f).unwrap();
@@ -348,7 +366,7 @@ mod tests {
         // Same schedule → same counters, run twice from scratch.
         let run = || {
             let mut f = file(8, 1);
-            let mut c = PageCache::new(3, 1);
+            let mut c = PageCache::new(3, 1, 8);
             for &p in &[0usize, 1, 2, 3, 0, 4, 1, 5, 6, 2, 0, 7, 3] {
                 c.touch(p, &mut f).unwrap();
             }
@@ -360,7 +378,7 @@ mod tests {
     #[test]
     fn flush_writes_dirty_frames_once() {
         let mut f = file(2, 2);
-        let mut c = PageCache::new(2, 2);
+        let mut c = PageCache::new(2, 2, 2);
         c.with_page_mut(0, &mut f, |p| p[0] = 9.0).unwrap();
         c.flush(&mut f).unwrap();
         c.flush(&mut f).unwrap(); // clean now: no extra traffic
@@ -374,7 +392,7 @@ mod tests {
     #[test]
     fn capacity_is_respected() {
         let mut f = file(10, 1);
-        let mut c = PageCache::new(4, 1);
+        let mut c = PageCache::new(4, 1, 10);
         for p in 0..10 {
             c.touch(p, &mut f).unwrap();
         }

@@ -17,7 +17,9 @@
 //! * [`StoredTable`] — the disk-backed table implementing
 //!   `lazydp_embedding::EmbeddingStorage`, so `LazyDpOptimizer`, the
 //!   sharded pending-noise flush, `finalize_model`, and checkpointing
-//!   run against it unchanged.
+//!   run against it unchanged. Its batch operations (`gather_into`,
+//!   `sparse_update`) visit rows in page order, so one call faults each
+//!   distinct page once.
 //!
 //! [`StorageConfig`] carries the knobs (page size, cache capacity in
 //! pages, spill directory) and flows through
@@ -28,8 +30,8 @@
 //!
 //! # Fault model
 //!
-//! Every page carries an FNV-1a-64 checksum trailer, verified at
-//! fault-in; device failures surface as typed [`StorageError`]s,
+//! Every page carries a word-wide checksum trailer
+//! (`lazydp_fault::checksum::word_fnv64`), verified at fault-in; device failures surface as typed [`StorageError`]s,
 //! transient ones absorbed by bounded retry, persistent ones by
 //! degrading the table to a bitwise-identical in-memory backend.
 //! Deterministic fault injection (the `LAZYDP_FAULTS` plan in

@@ -3,7 +3,7 @@
 //!
 //! A [`PageFile`] is the disk half of the storage engine: `pages` slots,
 //! each holding `page_elems` little-endian `f32`s followed by an 8-byte
-//! FNV-1a-64 trailer over those data bytes, accessed with explicit
+//! [`word_fnv64`] trailer over those data bytes, accessed with explicit
 //! positioned reads/writes (`read_exact_at`/`write_all_at` on Unix, a
 //! seek-based fallback elsewhere). No mmap, no external dependencies —
 //! the file is created sparse (zero pages cost no disk until written),
@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use lazydp_fault::checksum::fnv1a64;
+use lazydp_fault::checksum::word_fnv64;
 use lazydp_fault::{FaultKind, InjectedKill, Site};
 
 use crate::error::StorageError;
@@ -226,7 +226,7 @@ impl PageFile {
         let stored = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
         // Trailer 0 + all-zero data = a never-written sparse slot.
         if stored != 0 || data.iter().any(|&b| b != 0) {
-            let computed = fnv1a64(data);
+            let computed = word_fnv64(data);
             if computed != stored {
                 lazydp_obs::metrics().fault.checksum_failures.incr();
                 return Err(StorageError::Corrupt {
@@ -267,7 +267,7 @@ impl PageFile {
         {
             b.copy_from_slice(&v.to_le_bytes());
         }
-        let sum = fnv1a64(&self.scratch[..data_bytes]);
+        let sum = word_fnv64(&self.scratch[..data_bytes]);
         self.scratch[data_bytes..].copy_from_slice(&sum.to_le_bytes());
         if injected == Some(FaultKind::Corrupt) {
             // A torn page: one data byte flips *after* the checksum was

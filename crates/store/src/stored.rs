@@ -17,6 +17,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 struct Engine {
     file: PageFile,
     cache: PageCache,
+    /// Visit order of the batch operation in flight, as `(page or row,
+    /// input position)` pairs; kept here so its allocation is reused by
+    /// every call.
+    order: Vec<(u64, usize)>,
 }
 
 /// Where the rows actually live right now.
@@ -78,6 +82,19 @@ enum Backend {
 /// bytes. Deterministic fault injection for all of this is driven by
 /// the `LAZYDP_FAULTS` plan (see `lazydp_fault`).
 ///
+/// # Page-ordered batch access
+///
+/// The two batch operations visit their rows sorted by page, not in input
+/// order, so each distinct page is faulted in once per call however the
+/// rows are spread over the batch and however small the cache is.
+/// [`gather_into`](EmbeddingStorage::gather_into) walks the request in
+/// `(page, input position)` order and writes each row to its input
+/// position; [`sparse_update`](EmbeddingStorage::sparse_update) walks
+/// its entries in `(row, input position)` order, so repeated rows of an
+/// uncoalesced gradient still apply in input order. Neither reorder can
+/// change a value. The cache counters keep their meaning: one hit or
+/// miss per row access.
+///
 /// # Concurrency
 ///
 /// The engine sits behind a [`Mutex`], making shared-reference access
@@ -113,13 +130,17 @@ impl StoredTable {
         let pages = rows.div_ceil(page_rows);
         let page_elems = page_rows * dim;
         let file = PageFile::create(&cfg.effective_spill_dir(), pages, page_elems)?;
-        let cache = PageCache::new(cfg.effective_cache_pages(), page_elems);
+        let cache = PageCache::new(cfg.effective_cache_pages(), page_elems, pages);
         Ok(Self {
             rows,
             dim,
             page_rows,
             pages,
-            engine: Mutex::new(Backend::Paged(Engine { file, cache })),
+            engine: Mutex::new(Backend::Paged(Engine {
+                file,
+                cache,
+                order: Vec::new(),
+            })),
         })
     }
 
@@ -205,6 +226,30 @@ impl StoredTable {
     /// Elements per page.
     fn page_elems(&self) -> usize {
         self.page_rows * self.dim
+    }
+
+    /// The `(key, input position)` pairs of a batch operation, sorted —
+    /// the visit order that touches each page once. The buffer is taken
+    /// from the engine; hand it back with [`StoredTable::return_order`].
+    fn sorted_order(backend: &mut Backend, keys: impl Iterator<Item = u64>) -> Vec<(u64, usize)> {
+        let mut order = match backend {
+            Backend::Paged(engine) => std::mem::take(&mut engine.order),
+            Backend::Resident(_) => Vec::new(),
+        };
+        order.clear();
+        order.extend(keys.zip(0..));
+        // Positions are unique, so the pairs are too: the unstable sort
+        // yields one deterministic order.
+        order.sort_unstable();
+        order
+    }
+
+    /// Returns a [`StoredTable::sorted_order`] buffer to the engine for
+    /// the next call (dropped if the table degraded meanwhile).
+    fn return_order(backend: &mut Backend, order: Vec<(u64, usize)>) {
+        if let Backend::Paged(engine) = backend {
+            engine.order = order;
+        }
     }
 
     /// Makes `page` accessible: on the paged backend, faults it into the
@@ -449,12 +494,16 @@ impl EmbeddingStorage for StoredTable {
         }
     }
 
-    fn gather(&self, indices: &[u64]) -> Matrix {
-        // One lock for the whole batch rather than per row.
-        let mut out = Matrix::zeros(indices.len(), self.dim);
+    /// Visits the request in `(page, input position)` order under one
+    /// lock, faulting each distinct page once.
+    fn gather_into(&self, indices: &[u64], out: &mut Matrix) {
+        out.reshape_for_overwrite(indices.len(), self.dim);
         let mut guard = self.lock();
-        for (i, &idx) in indices.iter().enumerate() {
-            let (page, start) = self.locate(idx);
+        let order =
+            Self::sorted_order(&mut guard, indices.iter().map(|&r| self.locate(r).0 as u64));
+        for &(page, i) in &order {
+            let page = page as usize;
+            let (_, start) = self.locate(indices[i]);
             self.ensure_page(&mut guard, page);
             match &mut *guard {
                 Backend::Paged(engine) => {
@@ -468,14 +517,18 @@ impl EmbeddingStorage for StoredTable {
                 }
             }
         }
-        out
+        Self::return_order(&mut guard, order);
     }
 
+    /// Applies the entries in `(row, input position)` order under one
+    /// lock, faulting each distinct page once.
     fn sparse_update(&mut self, grad: &SparseGrad, lr: f32) {
         assert_eq!(grad.dim(), self.dim, "sparse grad dim mismatch");
         let page_elems = self.page_elems();
         let mut guard = self.lock();
-        for (idx, values) in grad.iter() {
+        let order = Self::sorted_order(&mut guard, grad.indices().iter().copied());
+        for &(idx, i) in &order {
+            let (_, values) = grad.entry(i);
             let (page, start) = self.locate(idx);
             self.ensure_page(&mut guard, page);
             match &mut *guard {
@@ -496,6 +549,7 @@ impl EmbeddingStorage for StoredTable {
                 }
             }
         }
+        Self::return_order(&mut guard, order);
     }
 
     /// Faults in the pages of the given **sorted** rows (each page once,
@@ -643,6 +697,64 @@ mod tests {
             assert!(stats.hits >= 2, "repeated rows hit the cache");
         }
         assert_eq!(stats.hit_rate(), stats.hits as f64 / 6.0);
+    }
+
+    /// An unsorted request with repeated rows over `P = 5` distinct pages
+    /// of 4 rows each, interleaved so that visiting it in input order
+    /// re-faults pages through a 1-page cache.
+    const SCATTERED: [u64; 12] = [17, 2, 9, 17, 30, 3, 1, 26, 9, 2, 16, 30];
+    const SCATTERED_PAGES: u64 = 5;
+
+    #[test]
+    fn gather_faults_each_distinct_page_once() {
+        let _serial = lazydp_fault::exclusive();
+        // No faults, whatever the environment's plan: a retried read
+        // would count a second miss.
+        lazydp_fault::install(FaultPlan::new(0));
+        let d = dense(32, 3);
+        let s = StoredTable::from_dense(&d, &cfg(4, 1)).expect("spill");
+        let mut out = Matrix::filled(2, 2, f32::NAN);
+        s.gather_into(&SCATTERED, &mut out);
+        assert_eq!(
+            out,
+            d.gather(&SCATTERED),
+            "rows land at their input positions"
+        );
+        let stats = s.stats();
+        assert_eq!(stats.misses, SCATTERED_PAGES, "one fault per distinct page");
+        assert_eq!(
+            stats.hits + stats.misses,
+            SCATTERED.len() as u64,
+            "one access per row"
+        );
+        assert_eq!(stats.write_backs, 0, "a gather dirties nothing");
+        lazydp_fault::clear();
+    }
+
+    #[test]
+    fn uncoalesced_update_faults_each_distinct_page_once_and_stays_bitwise() {
+        let _serial = lazydp_fault::exclusive();
+        lazydp_fault::install(FaultPlan::new(0));
+        let d = dense(32, 3);
+        let mut s = StoredTable::from_dense(&d, &cfg(4, 1)).expect("spill");
+        // Repeated rows with values whose sum depends on the order they
+        // are applied in.
+        let mut rng = Xoshiro256PlusPlus::seed_from(8);
+        let entries = SCATTERED
+            .iter()
+            .map(|&r| (r, (0..3).map(|_| rng.next_f32() * 3.0 - 1.5).collect()))
+            .collect();
+        let grad = SparseGrad::from_entries(3, entries);
+        let mut want = d.clone();
+        want.sparse_update(&grad, 0.37);
+        s.sparse_update(&grad, 0.37);
+        assert_eq!(
+            s.stats().misses,
+            SCATTERED_PAGES,
+            "one fault per distinct page"
+        );
+        assert_eq!(s.to_dense(), want, "repeated rows apply in input order");
+        lazydp_fault::clear();
     }
 
     #[test]

@@ -200,6 +200,17 @@ impl Matrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Reshapes the matrix to `rows × cols`, reusing the existing
+    /// allocation and leaving the contents unspecified (stale values,
+    /// zeros where the buffer grew) — for callers that overwrite every
+    /// element, which then skip [`reset_zeroed`](Self::reset_zeroed)'s
+    /// fill.
+    pub fn reshape_for_overwrite(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.resize(rows * cols, 0.0);
+    }
+
     /// Makes `self` a copy of `other` (shape and contents), reusing the
     /// existing allocation.
     pub fn copy_from(&mut self, other: &Self) {
